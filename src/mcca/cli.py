@@ -13,10 +13,10 @@ import sys
 import numpy as np
 
 from . import fileio
-from .data import block_slices, covariance, load
+from .data import block_slices, load
 from .errors import DataError, DegeneracyError, DimensionError
 from .metrics import Projections, isc, transform
-from .solver import ONE_STEP, TWO_STEP, fit_one_step, fit_two_step
+from .solver import DEFAULT_RANK_TOL, ONE_STEP, TWO_STEP, fit
 from .synth import SynthSpec, generate
 
 EXIT_OK = 0
@@ -55,11 +55,7 @@ def _split_sets(arr: np.ndarray, dims: tuple, path: str) -> list:
 
 def cmd_fit(args) -> int:
     data = load(_split_sets(_read_table(args.input), args.dims, args.input))
-    cov = covariance(data)
-    if args.method == TWO_STEP:
-        model = fit_two_step(cov, rank_tol=args.rank_tol, gamma=args.gamma, k=args.k)
-    else:
-        model = fit_one_step(cov, gamma=args.gamma, k=args.k)
+    model = fit(data, method=args.method, rank_tol=args.rank_tol, gamma=args.gamma, k=args.k)
     fileio.save_model(model, args.output)
     print("component       lambda rho_analytic rho_empirical")
     for n in range(model.n_components):
@@ -136,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, type=_dims_arg,
                    help="comma-separated column count per set, e.g. 4,4,4")
     p.add_argument("--method", choices=(TWO_STEP, ONE_STEP), default=TWO_STEP)
-    p.add_argument("--rank-tol", type=float, default=1e-9,
+    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
                    help="relative per-set eigenvalue cutoff (two-step only)")
     p.add_argument("--gamma", type=float, default=0.0,
                    help="ridge added to each set's covariance block")

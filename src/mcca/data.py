@@ -114,18 +114,18 @@ def center(data: MultiSetData) -> MultiSetData:
 
 @dataclass(frozen=True)
 class CovarianceBlocks:
-    """All cross-covariance blocks of a multi-set, plus their assemblies.
+    """The covariance of a multi-set, stored once as ``R``.
 
-    ``blocks[l][k]`` is the d_l x d_k sum of outer products between centered
-    sets l and k. ``R`` is the full total_dim x total_dim matrix of those
-    blocks and ``D`` keeps only the diagonal blocks, zero elsewhere.
-    ``means`` carries the training means so fitted models can be applied to
-    new data.
+    ``R`` is the total_dim x total_dim sum of outer products of the centered
+    concatenated sets; its block (l, k) is the d_l x d_k cross-covariance of
+    sets l and k. ``blocks`` and ``D`` are derived from ``R`` on access:
+    ``blocks[l][k]`` is a read-only view of block (l, k), and ``D`` a dense
+    copy of the diagonal blocks, zero elsewhere. Inside the package D is
+    only ever applied block by block, through :meth:`d_dot`. ``means``
+    carries the training means so fitted models can be applied to new data.
     """
 
-    blocks: tuple
     R: np.ndarray
-    D: np.ndarray
     dims: tuple
     means: tuple
 
@@ -136,6 +136,25 @@ class CovarianceBlocks:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
+
+    @property
+    def blocks(self) -> tuple:
+        slices = block_slices(self.dims)
+        return tuple(tuple(self.R[sl, sk] for sk in slices) for sl in slices)
+
+    @property
+    def D(self) -> np.ndarray:
+        d = np.zeros_like(self.R)
+        for sl in block_slices(self.dims):
+            d[sl, sl] = self.R[sl, sl]
+        return _freeze(d)
+
+    def d_dot(self, v: np.ndarray) -> np.ndarray:
+        """``D @ v`` as one d_l x d_l by d_l x K product per set."""
+        out = np.empty(v.shape)
+        for sl in block_slices(self.dims):
+            out[sl] = self.R[sl, sl] @ v[sl]
+        return out
 
 
 def covariance(data: MultiSetData) -> CovarianceBlocks:
@@ -184,16 +203,8 @@ def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:
 
 
 def _assemble(r: np.ndarray, dims, means) -> CovarianceBlocks:
-    slices = block_slices(dims)
-    d = np.zeros_like(r)
-    grid = []
-    for sl in slices:
-        d[sl, sl] = r[sl, sl]
-        grid.append(tuple(_freeze(np.ascontiguousarray(r[sl, sk])) for sk in slices))
     return CovarianceBlocks(
-        blocks=tuple(grid),
         R=_freeze(r),
-        D=_freeze(d),
         dims=tuple(dims),
         means=tuple(_freeze(np.array(m, dtype=np.float64, copy=True)) for m in means),
     )

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .data import block_slices
+from .data import _freeze, block_slices
 from .errors import DataError, DimensionError
 from .solver import MccaModel, RegularizationRecord
 
@@ -221,17 +221,12 @@ def load_model(path: str) -> MccaModel:
                 f"{path}: means block {l + 1} has shape {arr.shape}, "
                 f"expected {(dims[l],)}"
             )
-        arr.flags.writeable = False
-        means.append(arr)
-    v = np.vstack(v_parts)
-    v.flags.writeable = False
-    for arr in (lambdas, rho_a, rho_e):
-        arr.flags.writeable = False
+        means.append(_freeze(arr))
     return MccaModel(
-        V=v,
-        lambdas=lambdas,
-        rho_analytic=rho_a,
-        rho_empirical=rho_e,
+        V=_freeze(np.vstack(v_parts)),
+        lambdas=_freeze(lambdas),
+        rho_analytic=_freeze(rho_a),
+        rho_empirical=_freeze(rho_e),
         dims=dims,
         means=tuple(means),
         method=str(method),

@@ -87,17 +87,6 @@ def sym_eig(a, name: str = "matrix") -> SymEig:
     return SymEig(values=values, vectors=vectors)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape validation."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def general_eig_real(a) -> tuple[np.ndarray, np.ndarray]:
     """Real eigenpairs of a square matrix similar to a symmetric one.
 

@@ -115,13 +115,46 @@ def isc(proj: Projections, n: int) -> IscBreakdown:
     return IscBreakdown(r_between=r_between, r_within=r_within, rho=rho)
 
 
+def _isc_columns(cov, v: np.ndarray) -> tuple[IscBreakdown, np.ndarray]:
+    """Covariance-form ISC of every column of the total_dim x K matrix ``v``.
+
+    Column n is first scaled by 2^-e_n, where 2^e_n is the power of two from
+    ``np.frexp`` just above its largest |entry|; the scaling is exact, so
+    the quadratic forms can neither overflow nor underflow through ``v``,
+    and rho and the variance-floor test come out as for the unscaled
+    column. The between- and within-set sums are then the column-wise
+    diagonals of u'(R - D)u and u'Du for the scaled columns u, from one
+    product with R and one blockwise product with D.
+
+    Returns an :class:`IscBreakdown` of length-K arrays holding the sums of
+    the scaled columns (multiply by 4^e_n to undo the scaling) and rho, NaN
+    where the projected within-set variance is zero, plus the exponents e.
+    """
+    _, exp = np.frexp(np.abs(v).max(axis=0))
+    u = np.ldexp(v, -exp)
+    r_within = np.einsum("ij,ij->j", u, cov.d_dot(u))
+    r_between = np.einsum("ij,ij->j", u, cov.R @ u) - r_within
+    floor = (
+        VARIANCE_FLOOR_REL**2
+        * float(np.abs(cov.R).max())
+        * np.einsum("ij,ij->j", u, u)
+        * cov.total_dim
+    )
+    defined = r_within > floor
+    rho = np.full(r_within.shape, np.nan)
+    np.divide(r_between, (cov.n_sets - 1) * r_within, out=rho, where=defined)
+    return IscBreakdown(r_between=r_between, r_within=r_within, rho=rho), exp
+
+
 def isc_from_cov(cov, v) -> IscBreakdown:
     """ISC of one projection vector, evaluated from covariance blocks.
 
     ``v`` is the concatenation of the per-set projection vectors. The
-    between-set part sums v_l' R_lk v_k over ordered pairs l != k and the
-    within-set part sums the diagonal-block quadratic forms; the result
-    matches :func:`isc` applied to the projected signals.
+    between-set part is v'(R - D)v, the sum of v_l' R_lk v_k over ordered
+    pairs l != k, and the within-set part is v'Dv, the sum of the
+    diagonal-block quadratic forms; the result matches :func:`isc` applied
+    to the projected signals. This is :func:`_isc_columns` on a single
+    column, with its sums scaled back to ``v``.
     """
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.shape[0] != cov.total_dim:
@@ -130,25 +163,11 @@ def isc_from_cov(cov, v) -> IscBreakdown:
         )
     if not np.isfinite(v).all():
         raise UndefinedIscError("projection vector contains non-finite values")
-    slices = block_slices(cov.dims)
-    parts = [v[sl] for sl in slices]
-    n_sets = cov.n_sets
-    r_within = 0.0
-    r_total = 0.0
-    for l in range(n_sets):
-        for k in range(n_sets):
-            q = float(parts[l] @ cov.blocks[l][k] @ parts[k])
-            r_total += q
-            if l == k:
-                r_within += q
-    r_between = r_total - r_within
-    floor = (
-        VARIANCE_FLOOR_REL**2
-        * float(np.abs(cov.R).max())
-        * float(v @ v)
-        * cov.total_dim
-    )
-    if r_within <= floor:
+    parts, exp = _isc_columns(cov, v.reshape(-1, 1))
+    if np.isnan(parts.rho[0]):
         raise UndefinedIscError("projected within-set variance is zero; ISC undefined")
-    rho = r_between / ((n_sets - 1) * r_within)
-    return IscBreakdown(r_between=r_between, r_within=r_within, rho=rho)
+    return IscBreakdown(
+        r_between=float(np.ldexp(parts.r_between[0], 2 * exp[0])),
+        r_within=float(np.ldexp(parts.r_within[0], 2 * exp[0])),
+        rho=float(parts.rho[0]),
+    )

@@ -25,17 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CovarianceBlocks, MultiSetData, block_slices, covariance
+from .data import CovarianceBlocks, MultiSetData, _freeze, block_slices, covariance
 from .errors import (
     DataError,
     DegeneracyError,
     DegenerateSetError,
     DimensionError,
     RankDeficiencyError,
-    UndefinedIscError,
 )
 from .linalg import fix_column_signs, general_eig_real, sym_eig
-from .metrics import isc_from_cov
+from .metrics import _isc_columns
 
 # Relative eigenvalue threshold below which a diagonal block counts as
 # singular for the one-step route.
@@ -108,16 +107,10 @@ class WhitenedBasis:
     concatenated data; its diagonal blocks are identities by construction.
     """
 
-    eigvecs: tuple
     eigvals: tuple
     ranks: tuple
     maps: tuple
     rtilde: np.ndarray
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _check_opts(gamma: float, rank_tol: float | None) -> None:
@@ -135,10 +128,11 @@ def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: flo
     direction at all raises :class:`DegenerateSetError` naming the set.
     """
     _check_opts(gamma, rank_tol)
-    eigvecs, eigvals, ranks, maps = [], [], [], []
-    for l in range(cov.n_sets):
-        block = cov.blocks[l][l] + gamma * np.eye(cov.dims[l])
-        e = sym_eig(block, name=f"diagonal block of set {l + 1}")
+    slices = block_slices(cov.dims)
+    diag, eigvals, ranks, maps = [], [], [], []
+    for l, sl in enumerate(slices):
+        diag.append(cov.R[sl, sl] + gamma * np.eye(cov.dims[l]))
+        e = sym_eig(diag[l], name=f"diagonal block of set {l + 1}")
         if e.values[0] <= 0.0:
             raise DegenerateSetError(l + 1, cov.n_sets, "its covariance block is zero")
         r = int(np.count_nonzero(e.values > rank_tol * e.values[0]))
@@ -146,23 +140,22 @@ def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: flo
             raise DegenerateSetError(
                 l + 1, cov.n_sets, "all variance falls below the rank tolerance"
             )
-        eigvecs.append(e.vectors)
         eigvals.append(e.values)
         ranks.append(r)
         maps.append(e.vectors[:, :r] / np.sqrt(e.values[:r]))
-    slices = block_slices(cov.dims)
     wslices = block_slices(ranks)
     total = sum(ranks)
+    # rtilde = M'(R + gamma I)M for the block diagonal M of the maps, one
+    # set at a time: first the columns of (R + gamma I)M, then M's rows.
+    half = np.empty((cov.total_dim, total))
+    for sk, wk, mk, dk in zip(slices, wslices, maps, diag):
+        half[:, wk] = cov.R[:, sk] @ mk
+        half[sk, wk] = dk @ mk
     rtilde = np.empty((total, total))
-    for l in range(cov.n_sets):
-        for k in range(cov.n_sets):
-            block = cov.blocks[l][k]
-            if l == k:
-                block = block + gamma * np.eye(cov.dims[l])
-            rtilde[wslices[l], wslices[k]] = maps[l].T @ block @ maps[k]
+    for sl, wl, ml in zip(slices, wslices, maps):
+        rtilde[wl, :] = ml.T @ half[sl, :]
     rtilde = 0.5 * (rtilde + rtilde.T)
     return WhitenedBasis(
-        eigvecs=tuple(_freeze(u) for u in eigvecs),
         eigvals=tuple(_freeze(w) for w in eigvals),
         ranks=tuple(ranks),
         maps=tuple(_freeze(m) for m in maps),
@@ -222,8 +215,8 @@ def fit_one_step(
     n_sets = cov.n_sets
     slices = block_slices(cov.dims)
     inverses = []
-    for l in range(n_sets):
-        block = cov.blocks[l][l] + gamma * np.eye(cov.dims[l])
+    for l, sl in enumerate(slices):
+        block = cov.R[sl, sl] + gamma * np.eye(cov.dims[l])
         e = sym_eig(block, name=f"diagonal block of set {l + 1}")
         if e.values[0] <= 0.0 or e.values[-1] <= PD_RTOL * e.values[0]:
             raise RankDeficiencyError(
@@ -263,9 +256,10 @@ def stationarity_residual(cov: CovarianceBlocks, model: MccaModel, n: int) -> fl
     At a solution, the averaged cross-covariance response of every set
     equals rho times its own-covariance response:
     (N - 1)^-1 sum_{k != l} R_lk v_k = (R_ll + gamma I) v_l rho.
-    Returns the worst per-set max-norm violation, normalized by the largest
-    covariance entry and the vector's max-norm; near zero at a true
-    solution.
+    In matrix form the left side is (R - D) v / (N - 1), so the violation
+    comes from one product with R and one blockwise product with D.
+    Returns its max-norm, normalized by the largest covariance entry and
+    the vector's max-norm; near zero at a true solution.
     """
     if not 0 <= n < model.n_components:
         raise DimensionError(
@@ -275,22 +269,12 @@ def stationarity_residual(cov: CovarianceBlocks, model: MccaModel, n: int) -> fl
         raise DimensionError("covariance dims do not match model dims")
     gamma = model.reg.gamma
     rho = float(model.rho_analytic[n])
-    slices = block_slices(cov.dims)
-    parts = [model.V[sl, n] for sl in slices]
-    n_sets = cov.n_sets
-    worst = 0.0
+    v = model.V[:, n]
+    dv = cov.d_dot(v)
+    g = (cov.R @ v - dv) / (cov.n_sets - 1) - (dv + gamma * v) * rho
     scale = max(float(np.abs(cov.R).max()), gamma)
-    for l in range(n_sets):
-        acc = np.zeros(cov.dims[l])
-        for k in range(n_sets):
-            if k == l:
-                continue
-            acc += cov.blocks[l][k] @ parts[k]
-        own = cov.blocks[l][l] @ parts[l] + gamma * parts[l]
-        g = acc / (n_sets - 1) - own * rho
-        worst = max(worst, float(np.abs(g).max()))
-    vinf = float(np.abs(model.V[:, n]).max())
-    return worst / max(scale * vinf, np.finfo(np.float64).tiny)
+    vinf = float(np.abs(v).max())
+    return float(np.abs(g).max()) / max(scale * vinf, np.finfo(np.float64).tiny)
 
 
 def _finish(
@@ -301,13 +285,19 @@ def _finish(
     method: str,
     reg: RegularizationRecord,
 ) -> MccaModel:
-    """Normalize, fix degenerate clusters, truncate to k, and wrap up."""
-    d_reg = cov.D + reg.gamma * np.eye(cov.total_dim)
-    q = np.einsum("ij,ij->j", vectors, d_reg @ vectors)
+    """Normalize, fix degenerate clusters, truncate to k, and wrap up.
+
+    Columns are scaled to v'(D + gamma I)v = 1, with D applied block by
+    block. ``rho_empirical`` of all k kept columns comes from one batched
+    covariance-form ISC of V on the unregularized covariance (the diagonals
+    of V'(R - D)V and V'DV), NaN where a column's projected within-set
+    variance is zero.
+    """
+    q = np.einsum("ij,ij->j", vectors, cov.d_dot(vectors) + reg.gamma * vectors)
     if np.any(q <= 0.0):
         raise DegeneracyError("eigenvector with non-positive block-diagonal energy")
     vectors = vectors / np.sqrt(q)
-    _orthonormalize_ties(values, vectors, d_reg)
+    _orthonormalize_ties(values, vectors, cov, reg.gamma)
     fix_column_signs(vectors)
 
     available = int(values.shape[0])
@@ -321,12 +311,7 @@ def _finish(
     vectors = np.ascontiguousarray(vectors[:, :k])
 
     rho_a = (values - 1.0) / (cov.n_sets - 1)
-    rho_e = np.empty_like(rho_a)
-    for n in range(k):
-        try:
-            rho_e[n] = isc_from_cov(cov, vectors[:, n]).rho
-        except UndefinedIscError:
-            rho_e[n] = np.nan
+    rho_e = _isc_columns(cov, vectors)[0].rho
     return MccaModel(
         V=_freeze(vectors),
         lambdas=_freeze(values.copy()),
@@ -339,8 +324,10 @@ def _finish(
     )
 
 
-def _orthonormalize_ties(values: np.ndarray, vectors: np.ndarray, d_reg: np.ndarray) -> None:
-    """Make near-degenerate clusters D-orthonormal, in place.
+def _orthonormalize_ties(
+    values: np.ndarray, vectors: np.ndarray, cov: CovarianceBlocks, gamma: float
+) -> None:
+    """Make near-degenerate clusters (D + gamma I)-orthonormal, in place.
 
     Eigenvectors for well-separated eigenvalues of the symmetric pencil are
     D-orthogonal automatically; within a degenerate cluster the backend's
@@ -355,7 +342,7 @@ def _orthonormalize_ties(values: np.ndarray, vectors: np.ndarray, d_reg: np.ndar
             continue
         if i - start > 1:
             vc = vectors[:, start:i]
-            gram = vc.T @ d_reg @ vc
+            gram = vc.T @ (cov.d_dot(vc) + gamma * vc)
             gram = 0.5 * (gram + gram.T)
             w, qmat = np.linalg.eigh(gram)
             if w[0] <= 1e-12 * w[-1]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultiSetData, load
+from .data import MultiSetData, _freeze, load
 from .errors import DataError
 from .metrics import transform
 
@@ -137,8 +137,7 @@ class SynthSpec:
                     )
                 if not np.all(np.isfinite(arr)):
                     raise DataError(f"mixing matrix for set {l + 1} is not finite")
-                arr.flags.writeable = False
-                frozen.append(arr)
+                frozen.append(_freeze(arr))
             object.__setattr__(self, "mixing", tuple(frozen))
 
     @property
@@ -169,11 +168,6 @@ class SynthResult:
     sigma: float
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def generate(spec: SynthSpec) -> SynthResult:
     """Generate one instance; a pure function of ``spec`` including seed."""
     rng = Xoshiro256StarStar(spec.seed)
@@ -196,9 +190,9 @@ def generate(spec: SynthSpec) -> SynthResult:
         mixing.append(a)
     return SynthResult(
         data=load(sets),
-        latents=_frozen(latents),
-        mixing=tuple(_frozen(np.array(a)) for a in mixing),
-        unmixing=tuple(_frozen(np.linalg.pinv(a)) for a in mixing),
+        latents=_freeze(latents),
+        mixing=tuple(_freeze(np.array(a)) for a in mixing),
+        unmixing=tuple(_freeze(np.linalg.pinv(a)) for a in mixing),
         sigma=float(sigma),
     )
 

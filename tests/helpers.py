@@ -10,20 +10,6 @@ import numpy as np
 import mcca
 
 
-def naive_matmul(a, b):
-    """Triple-loop matrix product, the slowest possible oracle."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def isc_literal(columns):
     """ISC by the literal double sums over exemplars and set pairs.
 
@@ -45,6 +31,53 @@ def isc_literal(columns):
         for i in range(t):
             r_w += centered[l][i] ** 2
     return r_b, r_w, r_b / ((n - 1) * r_w)
+
+
+def isc_from_cov_loops(cov, v):
+    """Covariance-form ISC of one vector by the literal loop over N^2 blocks.
+
+    Returns (r_between, r_within, rho); rho is NaN where the projected
+    within-set variance is at or below the library's variance floor.
+    """
+    parts = [v[sl] for sl in mcca.block_slices(cov.dims)]
+    n = cov.n_sets
+    r_within = 0.0
+    r_total = 0.0
+    for l in range(n):
+        for k in range(n):
+            q = float(parts[l] @ cov.blocks[l][k] @ parts[k])
+            r_total += q
+            if l == k:
+                r_within += q
+    r_between = r_total - r_within
+    floor = (
+        mcca.metrics.VARIANCE_FLOOR_REL**2
+        * float(np.abs(cov.R).max())
+        * float(v @ v)
+        * cov.total_dim
+    )
+    if r_within <= floor:
+        return r_between, r_within, np.nan
+    return r_between, r_within, r_between / ((n - 1) * r_within)
+
+
+def stationarity_residual_loops(cov, model, n):
+    """Stationarity residual of component n by the literal per-block loops."""
+    gamma = model.reg.gamma
+    rho = float(model.rho_analytic[n])
+    parts = [model.V[sl, n] for sl in mcca.block_slices(cov.dims)]
+    n_sets = cov.n_sets
+    worst = 0.0
+    for l in range(n_sets):
+        acc = np.zeros(cov.dims[l])
+        for k in range(n_sets):
+            if k != l:
+                acc += cov.blocks[l][k] @ parts[k]
+        own = cov.blocks[l][l] @ parts[l] + gamma * parts[l]
+        worst = max(worst, float(np.abs(acc / (n_sets - 1) - own * rho).max()))
+    scale = max(float(np.abs(cov.R).max()), gamma)
+    vinf = float(np.abs(model.V[:, n]).max())
+    return worst / max(scale * vinf, np.finfo(np.float64).tiny)
 
 
 def pearson(x, y):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import naive_matmul
 from mcca import DataError, DegeneracyError, DimensionError
-from mcca.linalg import as_matrix, fix_column_signs, general_eig_real, matmul, sym_eig
+from mcca.linalg import as_matrix, fix_column_signs, general_eig_real, sym_eig
 
 
 class TestAsMatrix:
@@ -114,26 +113,6 @@ class TestFixColumnSigns:
                     ref[:, j] = -1.0 * ref[:, j].copy()
             fix_column_signs(v)
             assert np.array_equal(v, ref)
-
-
-class TestMatmul:
-    def test_identity(self):
-        x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(matmul(np.eye(3), x), x)
-
-    def test_hand_case(self):
-        out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-        assert out.shape == (1, 1) and out[0, 0] == 11.0
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(17)
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((3, 5))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestGeneralEigReal:

@@ -1,8 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import mcca
-from helpers import eigenvalue_clusters, principal_angle, random_instance
+from helpers import (
+    eigenvalue_clusters,
+    isc_from_cov_loops,
+    principal_angle,
+    random_instance,
+    stationarity_residual_loops,
+)
 from mcca import (
     DataError,
     DegenerateSetError,
@@ -319,6 +327,59 @@ class TestStationarityResidual:
         model = fit_two_step(cov)
         with pytest.raises(DimensionError):
             stationarity_residual(cov, model, 5)
+
+
+def constant_set_instance():
+    """Sets of 3 and 2 noise columns plus a set of 2 constant columns."""
+    rng = np.random.default_rng(19)
+    return load(
+        [
+            rng.standard_normal((200, 3)),
+            rng.standard_normal((200, 2)),
+            np.tile(rng.standard_normal(2), (200, 1)),
+        ]
+    )
+
+
+class TestCovarianceAlgebra:
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    @pytest.mark.parametrize(
+        "case, gamma", [("shared", 0.0), ("shared", 0.5), ("constant", 0.5)]
+    )
+    def test_matches_block_loops(self, method, case, gamma):
+        if case == "shared":
+            data = random_instance(np.random.default_rng(20), (1, 3, 2), 60)
+        else:
+            data = constant_set_instance()
+        cov = covariance(data)
+        model = mcca.fit(data, method=method, gamma=gamma)
+        ref = [isc_from_cov_loops(cov, model.V[:, n]) for n in range(model.n_components)]
+        ref_rho = np.array([r[2] for r in ref])
+        assert np.array_equal(np.isnan(model.rho_empirical), np.isnan(ref_rho))
+        assert np.isnan(ref_rho).sum() == (2 if case == "constant" else 0)
+        ok = ~np.isnan(ref_rho)
+        assert np.abs(model.rho_empirical[ok] - ref_rho[ok]).max() <= 1e-12
+        for n in np.flatnonzero(ok):
+            out = mcca.isc_from_cov(cov, model.V[:, n])
+            r_between, r_within, rho = ref[n]
+            assert abs(out.rho - rho) <= 1e-12
+            assert abs(out.r_between - r_between) <= 1e-12 * r_within
+            assert abs(out.r_within - r_within) <= 1e-12 * r_within
+        for n in range(model.n_components):
+            assert abs(
+                stationarity_residual(cov, model, n)
+                - stationarity_residual_loops(cov, model, n)
+            ) <= 1e-12
+
+    def test_tiny_scale_raises_no_runtime_warning(self):
+        data = random_instance(np.random.default_rng(21), (4, 4, 4), 500)
+        tiny = load([s * 1e-160 for s in data.sets])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = mcca.fit(tiny)
+            out = mcca.isc_from_cov(covariance(tiny), model.V[:, 0])
+        assert np.isfinite(model.rho_empirical).all()
+        assert abs(out.rho - model.rho_empirical[0]) <= 1e-12
 
 
 class TestFitFrontend:
