@@ -3,12 +3,12 @@
 Data files are UTF-8 CSV with an optional header row, T data rows, and one
 column per feature; how columns group into sets travels out-of-band (the
 CLI's --dims flag). A first row with any non-numeric field is treated as a
-header. Floats are written with repr, which round-trips exactly, and
-parsed with float(), so '.' is the decimal separator regardless of locale.
+header. Floats are written with repr and parsed as float() parses them, so
+they round-trip exactly and '.' is the decimal separator in any locale.
 
 Model files are JSON with a schema_version field. Arrays keep full float
-precision; NaN (possible in rho_empirical) is stored as null because JSON
-has no NaN literal.
+precision; NaN (legal only in rho_empirical) is stored as null because JSON
+has no NaN literal. Every other array entry must be a finite number.
 """
 
 import csv
@@ -23,7 +23,9 @@ from .solver import MccaModel, RegularizationRecord
 SCHEMA_VERSION = 1
 
 
-def _parse_row(row, path: str, line: int) -> list:
+def _parse_row(row, path: str, line: int, width: int) -> list:
+    if len(row) != width:
+        raise DataError(f"{path}: line {line} has {len(row)} fields, expected {width}")
     out = []
     for j, fieldtext in enumerate(row):
         try:
@@ -40,11 +42,13 @@ def _parse_row(row, path: str, line: int) -> list:
     return out
 
 
-def _is_numeric_row(row) -> bool:
+def _to_finite(rows) -> np.ndarray | None:
+    """The rows as a float64 array; None if ragged, non-numeric or non-finite."""
     try:
-        return all(np.isfinite(float(fieldtext)) for fieldtext in row)
+        arr = np.array(rows, dtype=np.float64)
     except ValueError:
-        return False
+        return None
+    return arr if np.isfinite(arr).all() else None
 
 
 def read_data_csv(path: str) -> np.ndarray:
@@ -54,23 +58,17 @@ def read_data_csv(path: str) -> np.ndarray:
     empty files raise DataError naming the offending line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     if not rows:
         raise DataError(f"{path}: no data rows")
-    first_line, first = rows[0]
-    start = 0 if _is_numeric_row(first) else 1
-    if start == 1 and len(rows) == 1:
+    body = rows if _to_finite(rows[0][1]) is not None else rows[1:]
+    if not body:
         raise DataError(f"{path}: header but no data rows")
-    width = len(rows[start][1])
-    data = []
-    for line, row in rows[start:]:
-        if len(row) != width:
-            raise DataError(
-                f"{path}: line {line} has {len(row)} fields, expected {width}"
-            )
-        data.append(_parse_row(row, path, line))
-    return np.array(data, dtype=np.float64)
+    if (arr := _to_finite([row for _, row in body])) is not None:
+        return arr
+    # row by row, to name the first bad line and column in file order
+    width = len(body[0][1])
+    return np.array([_parse_row(row, path, line, width) for line, row in body])
 
 
 def write_data_csv(path: str, array: np.ndarray, header: list | None = None) -> None:
@@ -78,16 +76,15 @@ def write_data_csv(path: str, array: np.ndarray, header: list | None = None) -> 
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D array, got shape {arr.shape}")
+    if header is not None and len(header) != arr.shape[1]:
+        raise DimensionError(
+            f"header has {len(header)} names for {arr.shape[1]} columns"
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if header is not None:
-            if len(header) != arr.shape[1]:
-                raise DimensionError(
-                    f"header has {len(header)} names for {arr.shape[1]} columns"
-                )
             writer.writerow(header)
-        for row in arr:
-            writer.writerow([repr(float(x)) for x in row])
+        writer.writerows(row.tolist() for row in arr)
 
 
 def projection_header(n_sets: int, n_components: int) -> list:
@@ -101,57 +98,27 @@ def projection_header(n_sets: int, n_components: int) -> list:
 
 def write_projections_csv(path: str, signals: tuple) -> None:
     """Write per-set component signals set-major with a naming header."""
-    stacked = np.hstack(signals)
-    write_data_csv(
-        path, stacked, header=projection_header(len(signals), signals[0].shape[1])
-    )
-
-
-def _array_out(arr: np.ndarray) -> list:
-    """Nested lists with NaN replaced by None for strict JSON."""
-    out = arr.tolist()
-
-    def swap(x):
-        if isinstance(x, list):
-            return [swap(v) for v in x]
-        return None if x != x else x
-
-    return swap(out)
-
-
-def _array_in(nested, what: str) -> np.ndarray:
-    def swap(x):
-        if isinstance(x, list):
-            return [swap(v) for v in x]
-        if x is None:
-            return np.nan
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise DataError(f"model file: {what} holds a non-numeric entry {x!r}")
-        return float(x)
-
-    try:
-        return np.array(swap(nested), dtype=np.float64)
-    except ValueError as exc:
-        raise DataError(f"model file: {what} is ragged or malformed: {exc}") from None
+    header = projection_header(len(signals), signals[0].shape[1])
+    write_data_csv(path, np.hstack(signals), header=header)
 
 
 def save_model(model: MccaModel, path: str) -> None:
     """Serialize a fitted model as JSON at full float precision."""
-    slices = block_slices(model.dims)
+    rho_e = model.rho_empirical
     doc = {
         "schema_version": SCHEMA_VERSION,
         "method": model.method,
         "dims": list(model.dims),
-        "means": [_array_out(m) for m in model.means],
+        "means": [m.tolist() for m in model.means],
         "reg": {
             "gamma": model.reg.gamma,
             "rank_tol": model.reg.rank_tol,
             "ranks": list(model.reg.ranks),
         },
-        "lambda": _array_out(model.lambdas),
-        "rho_analytic": _array_out(model.rho_analytic),
-        "rho_empirical": _array_out(model.rho_empirical),
-        "V": [_array_out(model.V[sl, :]) for sl in slices],
+        "lambda": model.lambdas.tolist(),
+        "rho_analytic": model.rho_analytic.tolist(),
+        "rho_empirical": np.where(np.isnan(rho_e), None, rho_e).tolist(),
+        "V": [model.V[sl, :].tolist() for sl in block_slices(model.dims)],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, allow_nan=False)
@@ -164,8 +131,42 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _array_in(value, what: str, shape: tuple, null_ok: bool = False) -> np.ndarray:
+    """Decode a JSON array of the given shape to a read-only float64 array.
+
+    Entries must be finite JSON numbers, except that where ``null_ok``,
+    null and NaN read as NaN.
+    """
+    arr = np.array(value, dtype=object)
+    if arr.shape != shape:
+        raise DataError(f"{what} has shape {arr.shape}, expected {shape}")
+    allowed = (float, int, type(None)) if null_ok else (float, int)
+    if not set(map(type, arr.flat)).issubset(allowed):
+        bad = next(x for x in arr.flat if type(x) not in allowed)
+        raise DataError(f"{what} holds a non-numeric entry {bad!r}")
+    try:
+        out = arr.astype(np.float64)
+    except OverflowError:  # an integer beyond the float range
+        out = np.array(np.inf)
+    if not np.isfinite(out[~np.isnan(out)] if null_ok else out).all():
+        raise DataError(f"{what} holds a non-finite entry")
+    return _freeze(out)
+
+
+def _blocks_in(doc: dict, key: str, path: str, shapes: list) -> list:
+    blocks = _require(doc, key)
+    if len(blocks) != len(shapes):
+        raise DataError(
+            f"{path}: {key} has {len(blocks)} blocks for {len(shapes)} sets"
+        )
+    return [
+        _array_in(block, f"{path}: {key} block {l + 1}", shape)
+        for l, (block, shape) in enumerate(zip(blocks, shapes))
+    ]
+
+
 def load_model(path: str) -> MccaModel:
-    """Load a model file, validating schema and shape consistency."""
+    """Load a model file, validating schema, shapes and finiteness."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -183,52 +184,26 @@ def load_model(path: str) -> MccaModel:
         raise DataError(f"{path}: invalid dims {dims}")
     method = _require(doc, "method")
     reg_doc = _require(doc, "reg")
+    rank_tol = reg_doc.get("rank_tol")
     reg = RegularizationRecord(
         gamma=float(_require(reg_doc, "gamma")),
-        rank_tol=(
-            None
-            if reg_doc.get("rank_tol") is None
-            else float(reg_doc["rank_tol"])
-        ),
+        rank_tol=None if rank_tol is None else float(rank_tol),
         ranks=tuple(int(r) for r in _require(reg_doc, "ranks")),
     )
-    lambdas = _array_in(_require(doc, "lambda"), "lambda")
-    rho_a = _array_in(_require(doc, "rho_analytic"), "rho_analytic")
-    rho_e = _array_in(_require(doc, "rho_empirical"), "rho_empirical")
-    k = lambdas.shape[0]
-    if lambdas.ndim != 1 or rho_a.shape != (k,) or rho_e.shape != (k,):
-        raise DataError(f"{path}: lambda and rho arrays disagree in length")
-    blocks = _require(doc, "V")
-    if len(blocks) != len(dims):
-        raise DataError(f"{path}: V has {len(blocks)} blocks for {len(dims)} sets")
-    v_parts = []
-    for l, block in enumerate(blocks):
-        arr = _array_in(block, f"V block {l + 1}")
-        if arr.ndim != 2 or arr.shape != (dims[l], k):
-            raise DataError(
-                f"{path}: V block {l + 1} has shape {arr.shape}, "
-                f"expected {(dims[l], k)}"
-            )
-        v_parts.append(arr)
-    means_doc = _require(doc, "means")
-    if len(means_doc) != len(dims):
-        raise DataError(f"{path}: means has {len(means_doc)} blocks for {len(dims)} sets")
-    means = []
-    for l, m in enumerate(means_doc):
-        arr = _array_in(m, f"means block {l + 1}")
-        if arr.shape != (dims[l],):
-            raise DataError(
-                f"{path}: means block {l + 1} has shape {arr.shape}, "
-                f"expected {(dims[l],)}"
-            )
-        means.append(_freeze(arr))
+    lam = _require(doc, "lambda")
+    k = len(lam) if isinstance(lam, list) else None  # None fails any shape check
+    lambdas = _array_in(lam, f"{path}: lambda", (k,))
     return MccaModel(
-        V=_freeze(np.vstack(v_parts)),
-        lambdas=_freeze(lambdas),
-        rho_analytic=_freeze(rho_a),
-        rho_empirical=_freeze(rho_e),
+        V=_freeze(np.vstack(_blocks_in(doc, "V", path, [(d, k) for d in dims]))),
+        lambdas=lambdas,
+        rho_analytic=_array_in(
+            _require(doc, "rho_analytic"), f"{path}: rho_analytic", (k,)
+        ),
+        rho_empirical=_array_in(
+            _require(doc, "rho_empirical"), f"{path}: rho_empirical", (k,), null_ok=True
+        ),
         dims=dims,
-        means=tuple(means),
+        means=tuple(_blocks_in(doc, "means", path, [(d,) for d in dims])),
         method=str(method),
         reg=reg,
     )

@@ -37,13 +37,8 @@ def fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     Ties resolve to the lowest row index, which removes the arbitrary sign
     freedom of eigenvector columns across platforms and backends.
     """
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            # aliased np.negative(col, out=col) corrupts strided column
-            # views on some numpy builds; in-place multiply is reliable
-            col *= -1.0
+    peaks = np.argmax(np.abs(vectors), axis=0)
+    vectors *= np.where(vectors[peaks, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
     return vectors
 
 

@@ -212,15 +212,7 @@ def recovery_score(result: SynthResult, model) -> np.ndarray:
     a_norm = np.sqrt(np.einsum("ij,ij->j", averaged, averaged))
     l_norm = np.sqrt(np.einsum("ij,ij->j", latents, latents))
     floor = 1e-12 * max(float(a_norm.max(initial=0.0)), float(l_norm.max(initial=0.0)))
-    scores = np.zeros(latents.shape[1])
-    for q in range(latents.shape[1]):
-        if l_norm[q] <= floor:
-            continue
-        best = 0.0
-        for m in range(averaged.shape[1]):
-            if a_norm[m] <= floor:
-                continue
-            c = abs(float(latents[:, q] @ averaged[:, m]) / (l_norm[q] * a_norm[m]))
-            best = max(best, c)
-        scores[q] = min(best, 1.0)
-    return scores
+    live = np.outer(l_norm > floor, a_norm > floor)
+    norms = np.where(live, np.outer(l_norm, a_norm), 1.0)
+    corr = np.where(live, np.abs(latents.T @ averaged) / norms, 0.0)
+    return np.minimum(corr.max(axis=1, initial=0.0), 1.0)

@@ -146,3 +146,31 @@ def eigenvalue_clusters(values, rel_gap):
         else:
             groups[-1].append(i)
     return groups
+
+
+def recovery_score_loops(result, model):
+    """Latent recovery by the literal loop over planted and fitted columns.
+
+    Same definition and floors as ``mcca.recovery_score``: the best absolute
+    Pearson correlation of each planted latent with the across-set average
+    of each fitted component signal; columns at or below the floor score 0.
+    """
+    proj = mcca.transform(model, result.data)
+    averaged = np.mean(proj.signals, axis=0)
+    averaged = averaged - averaged.mean(axis=0)
+    latents = result.latents - result.latents.mean(axis=0)
+    a_norm = np.sqrt(np.einsum("ij,ij->j", averaged, averaged))
+    l_norm = np.sqrt(np.einsum("ij,ij->j", latents, latents))
+    floor = 1e-12 * max(float(a_norm.max(initial=0.0)), float(l_norm.max(initial=0.0)))
+    scores = np.zeros(latents.shape[1])
+    for q in range(latents.shape[1]):
+        if l_norm[q] <= floor:
+            continue
+        best = 0.0
+        for m in range(averaged.shape[1]):
+            if a_norm[m] <= floor:
+                continue
+            c = abs(float(latents[:, q] @ averaged[:, m]) / (l_norm[q] * a_norm[m]))
+            best = max(best, c)
+        scores[q] = min(best, 1.0)
+    return scores

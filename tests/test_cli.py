@@ -170,6 +170,20 @@ class TestTransform:
         assert code == 2
         assert "dims" in err
 
+    def test_non_finite_model_exit_2(self, tmp_path, fitted):
+        data, model_path, _ = fitted
+        doc = json.loads(model_path.read_text())
+        doc["V"][0][0][0] = None
+        model_path.write_text(json.dumps(doc))
+        out_csv = tmp_path / "p.csv"
+        code, out, err = run_cli(
+            "transform", "--input", data, "--dims", "2,3",
+            "--model", model_path, "--output", out_csv,
+        )
+        assert code == 2
+        assert "V block 1" in err
+        assert not out_csv.exists()
+
 
 class TestIsc:
     def test_hand_case(self, tmp_path):

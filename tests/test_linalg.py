@@ -114,6 +114,14 @@ class TestFixColumnSigns:
             fix_column_signs(v)
             assert np.array_equal(v, ref)
 
+    def test_strided_view_flips_in_place(self):
+        # a non-contiguous view (reversed, every other column) must be
+        # flipped in its base array, column by column
+        base = np.array([[0.1, 5.0, -0.9, 1.0], [-0.8, 6.0, 0.2, -2.0]])
+        view = base[:, ::-2]
+        fix_column_signs(view)
+        assert np.array_equal(base, [[0.1, 5.0, -0.9, -1.0], [-0.8, 6.0, 0.2, 2.0]])
+
 
 class TestGeneralEigReal:
     def test_diagonal(self):

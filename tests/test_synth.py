@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import mcca
+from helpers import recovery_score_loops
 from mcca import DataError, Projections, SynthSpec, generate, isc, recovery_score
 from mcca.synth import Xoshiro256StarStar, _splitmix64
 
@@ -173,6 +175,29 @@ class TestRecovery:
         res = generate(spec)
         model = mcca.fit(res.data, gamma=1e-6)
         assert recovery_score(res, model).max() < 0.3
+
+    @pytest.mark.parametrize("snr", [np.inf, 10.0, 0.5, 0.0])
+    def test_matches_loop_oracle(self, snr):
+        spec = SynthSpec(seed=5, dims=(5, 4, 3), n_exemplars=300, n_components=3, snr=snr)
+        res = generate(spec)
+        model = mcca.fit(res.data, gamma=1e-6)
+        got = recovery_score(res, model)
+        assert np.abs(got - recovery_score_loops(res, model)).max() <= 1e-12
+
+    def test_dead_columns_score_zero_like_oracle(self):
+        # a constant planted latent and an all-zero fitted component sit
+        # below the floor on both routes; the rest must still agree
+        res = generate(SynthSpec(seed=6, dims=(4, 4), n_exemplars=200, n_components=2))
+        latents = res.latents.copy()
+        latents[:, 1] = 3.0
+        res = dataclasses.replace(res, latents=latents)
+        model = mcca.fit(res.data)
+        v = model.V.copy()
+        v[:, 0] = 0.0
+        model = dataclasses.replace(model, V=v)
+        got = recovery_score(res, model)
+        assert got[1] == 0.0
+        assert np.abs(got - recovery_score_loops(res, model)).max() <= 1e-12
 
     def test_snr_monotonicity(self):
         def mean_top_rho(snr):
