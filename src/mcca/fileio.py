@@ -13,6 +13,7 @@ has no NaN literal. Every other array entry must be a finite number.
 
 import csv
 import json
+import sys
 
 import numpy as np
 
@@ -58,7 +59,10 @@ def read_data_csv(path: str) -> np.ndarray:
     empty files raise DataError naming the offending line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+        reader = csv.reader(fh)
+        # line_num counts physical lines, so a quoted field spanning lines
+        # does not shift the numbers of the records after it
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise DataError(f"{path}: no data rows")
     body = rows if _to_finite(rows[0][1]) is not None else rows[1:]
@@ -131,6 +135,23 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number; the comparison is exact for huge integers too."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(type(d) is int for d in x)
+
+
+def _typed(doc: dict, key: str, path: str, kind: str, ok):
+    """``doc[key]``, or DataError naming the field unless ``ok(doc[key])``."""
+    value = _require(doc, key)
+    if not ok(value):
+        raise DataError(f"{path}: {key} must be {kind}, got {value!r:.60}")
+    return value
+
+
 def _array_in(value, what: str, shape: tuple, null_ok: bool = False) -> np.ndarray:
     """Decode a JSON array of the given shape to a read-only float64 array.
 
@@ -154,7 +175,7 @@ def _array_in(value, what: str, shape: tuple, null_ok: bool = False) -> np.ndarr
 
 
 def _blocks_in(doc: dict, key: str, path: str, shapes: list) -> list:
-    blocks = _require(doc, key)
+    blocks = _typed(doc, key, path, "a list of blocks", lambda v: isinstance(v, list))
     if len(blocks) != len(shapes):
         raise DataError(
             f"{path}: {key} has {len(blocks)} blocks for {len(shapes)} sets"
@@ -179,16 +200,18 @@ def load_model(path: str) -> MccaModel:
         raise DataError(
             f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
-    dims = tuple(int(d) for d in _require(doc, "dims"))
+    dims = tuple(_typed(doc, "dims", path, "a list of integers", _is_int_list))
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise DataError(f"{path}: invalid dims {dims}")
-    method = _require(doc, "method")
-    reg_doc = _require(doc, "reg")
+    method = _typed(doc, "method", path, "a string", lambda v: isinstance(v, str))
+    reg_doc = _typed(doc, "reg", path, "an object", lambda v: isinstance(v, dict))
     rank_tol = reg_doc.get("rank_tol")
+    if not (rank_tol is None or _is_number(rank_tol)):
+        raise DataError(f"{path}: rank_tol must be a finite number or null, got {rank_tol!r:.60}")
     reg = RegularizationRecord(
-        gamma=float(_require(reg_doc, "gamma")),
+        gamma=float(_typed(reg_doc, "gamma", path, "a finite number", _is_number)),
         rank_tol=None if rank_tol is None else float(rank_tol),
-        ranks=tuple(int(r) for r in _require(reg_doc, "ranks")),
+        ranks=tuple(_typed(reg_doc, "ranks", path, "a list of integers", _is_int_list)),
     )
     lam = _require(doc, "lambda")
     k = len(lam) if isinstance(lam, list) else None  # None fails any shape check
@@ -204,6 +227,6 @@ def load_model(path: str) -> MccaModel:
         ),
         dims=dims,
         means=tuple(_blocks_in(doc, "means", path, [(d,) for d in dims])),
-        method=str(method),
+        method=method,
         reg=reg,
     )

@@ -25,8 +25,18 @@ in order its mixing entries row-major (skipped when mixing is supplied)
 followed by its T x d_l noise matrix row-major. The noise block is drawn
 even when sigma = 0, so changing snr under a fixed seed rescales the very
 same realizations.
+
+``normals`` computes its draws lane-parallel, bit-identical to the scalar
+definition. The xoshiro256** state transition is linear over GF(2)
+(Blackman & Vigna, "Scrambled Linear Pseudorandom Number Generators",
+arXiv:1805.01407), so the 256 x 256 bit matrices of 2**j steps, built once
+by repeated squaring, give the start states of contiguous lanes of the
+stream; all lanes then step together on numpy uint64 arrays. The scalar
+``next_u64`` and ``uniform`` are the reference the tests compare against.
 """
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +47,7 @@ from .metrics import transform
 
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * np.pi
+_TWO_POW_M53 = 1.0 / 9007199254740992.0
 
 
 def _splitmix64(state: int):
@@ -49,11 +60,96 @@ def _splitmix64(state: int):
         yield z ^ (z >> 31)
 
 
+def _rotl(x, k: int):
+    """Rotate 64-bit words left by ``k``: a Python int or a uint64 array."""
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _step_lanes(s: np.ndarray, out: np.ndarray | None = None) -> None:
+    """Advance every lane of the 4 x L uint64 state ``s`` one step, in place.
+
+    Where ``out`` is given, the lanes' xoshiro256** outputs (from the state
+    before the step) are written to it.
+    """
+    s0, s1, s2, s3 = s
+    if out is not None:
+        np.multiply(_rotl(s1 * 5, 7), 9, out=out)
+    t = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s3[:] = _rotl(s3, 45)
+
+
+def _to_bits(s: np.ndarray) -> np.ndarray:
+    """4 x L uint64 states as L x 256 float32 bit rows, bit 64*w + b of word w."""
+    octets = np.ascontiguousarray(s.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little").astype(np.float32)
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    """Inverse of ``_to_bits``: L x 256 bit rows back to 4 x L uint64 states."""
+    octets = np.packbits(bits.astype(bool), axis=1, bitorder="little")
+    return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
+
+
+@functools.cache
+def _jump_matrix(j: int) -> np.ndarray:
+    """The 256 x 256 GF(2) matrix of 2**j steps, as 0/1 float32.
+
+    The step is linear over GF(2), so ``bits @ _jump_matrix(j)`` reduced mod
+    2 is the state 2**j steps on. Row i is the image of unit state i. Every
+    product of 0/1 matrices sums at most 256 ones, which float32 holds
+    exactly, so the reduction is exact.
+    """
+    if j == 0:
+        unit = _from_bits(np.eye(256, dtype=np.float32))
+        _step_lanes(unit)
+        out = _to_bits(unit)
+    else:
+        half = _jump_matrix(j - 1)
+        out = np.fmod(half @ half, 2.0)
+    out.setflags(write=False)
+    return out
+
+
+def _lane_draws(state: list, n: int) -> tuple:
+    """The next ``n`` >= 1 outputs of the stream at ``state``, and the state after.
+
+    The outputs are cut into L contiguous lanes of S = 2**p steps (the last
+    lane may run past ``n``; its surplus is dropped). Lane starts come from
+    ``state`` by doubling: the first 2**j lanes jumped 2**(p+j) steps give
+    the next 2**j. All lanes then step together, S times.
+    """
+    # S near sqrt(n) balances the doubling, whose cost grows with the lanes,
+    # against the step loop, whose Python overhead grows with the steps
+    p = (n.bit_length() - 1) // 2
+    steps = 1 << p
+    lanes = -(-n // steps)
+    starts = _to_bits(np.array(state, dtype=np.uint64).reshape(4, 1))
+    j = p
+    while len(starts) < lanes:
+        jumped = starts[: lanes - len(starts)] @ _jump_matrix(j)
+        starts = np.vstack([starts, np.fmod(jumped, 2.0, out=jumped)])
+        j += 1
+    s = _from_bits(starts)
+    out = np.empty((steps, lanes), dtype=np.uint64)
+    last = n - (lanes - 1) * steps  # steps the last lane takes within n
+    for i in range(steps):
+        _step_lanes(s, out[i])
+        if i + 1 == last:
+            after = s[:, -1].tolist()
+    return out.T.ravel()[:n], after
+
+
 class Xoshiro256StarStar:
     """Portable 64-bit PRNG (xoshiro256**), state seeded via splitmix64.
 
     The integer stream is exact across platforms; uniforms take the top
-    53 bits of each output.
+    53 bits of each output. ``next_u64`` and ``uniform`` are the scalar
+    definition; ``normals`` computes the same stream lane-parallel.
     """
 
     def __init__(self, seed: int):
@@ -64,30 +160,34 @@ class Xoshiro256StarStar:
 
     def next_u64(self) -> int:
         s = self._s
-        result = (self._rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
+        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
         t = (s[1] << 17) & _MASK64
         s[2] ^= s[0]
         s[3] ^= s[1]
         s[1] ^= s[2]
         s[0] ^= s[3]
         s[2] ^= t
-        s[3] = self._rotl(s[3], 45)
+        s[3] = _rotl(s[3], 45)
         return result
-
-    @staticmethod
-    def _rotl(x: int, k: int) -> int:
-        return ((x << k) | (x >> (64 - k))) & _MASK64
 
     def uniform(self) -> float:
         # top 53 bits give a double in [0, 1)
-        return (self.next_u64() >> 11) * (1.0 / 9007199254740992.0)
+        return (self.next_u64() >> 11) * _TWO_POW_M53
 
     def normals(self, count: int) -> np.ndarray:
-        """Draw ``count`` standard normals by pairwise Box-Muller."""
+        """Draw ``count`` standard normals by pairwise Box-Muller.
+
+        Consumes ``2 * ceil(count / 2)`` outputs, the same values and the
+        same state advance as that many ``uniform`` calls.
+        """
+        count = operator.index(count)
         if count < 0:
             raise DataError(f"cannot draw {count} normal variates")
         pairs = (count + 1) // 2
-        u = np.array([self.uniform() for _ in range(2 * pairs)])
+        if pairs == 0:
+            return np.empty(0)
+        raw, self._s = _lane_draws(self._s, 2 * pairs)
+        u = (raw >> 11) * _TWO_POW_M53
         radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
         angle = _TWO_PI * u[1::2]
         z = np.empty(2 * pairs)

@@ -174,3 +174,19 @@ def recovery_score_loops(result, model):
             best = max(best, c)
         scores[q] = min(best, 1.0)
     return scores
+
+
+def normals_scalar(rng, count):
+    """``rng.normals(count)`` by Box-Muller over one scalar ``uniform`` call per draw.
+
+    The generator's documented definition, draw by draw: the oracle for its
+    lane-parallel ``normals``.
+    """
+    pairs = (count + 1) // 2
+    u = np.array([rng.uniform() for _ in range(2 * pairs)])
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z[:count]

@@ -185,6 +185,22 @@ class TestTransform:
         assert not out_csv.exists()
 
 
+    @pytest.mark.parametrize(
+        "key, value", [("V", 5), ("reg", []), ("dims", ["a", 1]), ("means", 3.0)]
+    )
+    def test_malformed_model_exit_2(self, tmp_path, fitted, key, value):
+        data, model_path, _ = fitted
+        doc = json.loads(model_path.read_text())
+        doc[key] = value
+        model_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            "transform", "--input", data, "--dims", "2,3",
+            "--model", model_path, "--output", tmp_path / "p.csv",
+        )
+        assert code == 2
+        assert f"{key} must be" in err
+
+
 class TestIsc:
     def test_hand_case(self, tmp_path):
         data = tmp_path / "p.csv"

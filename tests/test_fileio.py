@@ -102,6 +102,7 @@ class TestDataCsv:
             ("a,b\n1,2\n6,x\n\n3,4,5\n", r"line 3, column 2: 'x' is not a number"),
             ("1,2\n3,1e999\n4,5,6\n", r"line 2, column 2: value '1e999' is not finite"),
             ("1,2\n4,5,6\n3,nan\n", r"line 2 has 3 fields, expected 2"),
+            ('a,"b\nc"\n1,2\n4,x\n', r"line 4, column 2: 'x' is not a number"),
         ],
     )
     def test_first_bad_line_wins(self, tmp_path, text, match):
@@ -263,6 +264,34 @@ class TestModelFile:
         self.write_with_entry(path, self.PLACES["V block 2"], "2")
         back = load_model(path)
         assert back.V.dtype == np.float64 and back.V[2, 1] == 2.0
+
+    BAD_STRUCTURE = [
+        (("V",), 5, "V must be a list of blocks"),
+        (("means",), {"0": [0.0]}, "means must be a list of blocks"),
+        (("reg",), [], "reg must be an object"),
+        (("dims",), ["a", 1], "dims must be a list of integers"),
+        (("dims",), 5, "dims must be a list of integers"),
+        (("method",), 5, "method must be a string"),
+        (("reg", "gamma"), "0", "gamma must be a finite number"),
+        (("reg", "gamma"), float("inf"), "gamma must be a finite number"),
+        (("reg", "gamma"), 10**400, "gamma must be a finite number"),
+        (("reg", "rank_tol"), [], "rank_tol must be a finite number or null"),
+        (("reg", "rank_tol"), float("nan"), "rank_tol must be a finite number or null"),
+        (("reg", "ranks"), [1.5, 2], "ranks must be a list of integers"),
+    ]
+
+    @pytest.mark.parametrize("where, value, match", BAD_STRUCTURE)
+    def test_bad_structure_names_field(self, tmp_path, where, value, match):
+        path = tmp_path / "m.json"
+        save_model(self.make_model(), path)
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=match):
+            load_model(path)
 
     def test_rho_length_mismatch(self, tmp_path):
         path = tmp_path / "m.json"

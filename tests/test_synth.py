@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import mcca
-from helpers import recovery_score_loops
+from helpers import normals_scalar, recovery_score_loops
 from mcca import DataError, Projections, SynthSpec, generate, isc, recovery_score
 from mcca.synth import Xoshiro256StarStar, _splitmix64
 
@@ -16,6 +17,31 @@ SPLITMIX64_SEED0 = (
     0x06C45D188009454F,
     0xF88BB8A8724C81EC,
 )
+
+
+# SHA-256 of the little-endian float64 bytes of every set in order, then of
+# the latents, as produced by the scalar draw-by-draw generator.
+GOLDEN_MIXING = (
+    np.array([[1.0, 0.5], [0.0, 2.0], [-1.0, 0.25]]),
+    np.array([[0.0, 1.0], [3.0, 0.0]]),
+)
+GOLDEN_SPECS = {
+    "odd_tk": dict(seed=3, dims=(3, 5), n_exemplars=7, n_components=1, snr=2.0),
+    "d_one": dict(seed=4, dims=(1, 3, 2), n_exemplars=11, n_components=1, snr=10.0),
+    "mixing": dict(seed=5, dims=(3, 2), n_exemplars=9, n_components=2, snr=1.0,
+                   mixing=GOLDEN_MIXING),
+    "snr_zero": dict(seed=6, dims=(2, 3), n_exemplars=13, n_components=2, snr=0.0),
+    "snr_inf": dict(seed=7, dims=(4, 2), n_exemplars=10, n_components=2, snr=np.inf),
+    "cli": dict(seed=1, dims=(16, 16, 16, 16), n_exemplars=6000, n_components=2, snr=4.0),
+}
+GOLDEN_SHA256 = {
+    "odd_tk": "a6bc118d1c1feaf751cc70cf91b8b673824b9cea5b0c9eabbbea6b849ee76c1f",
+    "d_one": "a6680222a678e3bc5b68cfa6da4688acdfcc0779989caabc6bce0729c571b94e",
+    "mixing": "1eb275a834c943dc7d9b02d6a9483bcba7429ccde38d2e0ef6d21d7269e02424",
+    "snr_zero": "2bd98f1dd3172e7796b48b1b6f95d922b88b09b43384ae356e3fb080ee2f5837",
+    "snr_inf": "8c4ab65e84dfc9b698e7d80eac4a1f82502d3624d45cced897d08c3e3bf130df",
+    "cli": "f88574b52217bdec0e24dc0e52a589a5407900b63f193f50caca9409136ccffa",
+}
 
 
 def planted_isc(result, q):
@@ -59,6 +85,51 @@ class TestPrng:
         full = Xoshiro256StarStar(7).normals(4)
         odd = Xoshiro256StarStar(7).normals(3)
         assert np.array_equal(odd, full[:3])
+
+    # 0, 1, 2, then both sides of every power of two up to 2**14: the lane
+    # length and the lane count each change at powers of two of the draws
+    LANE_COUNTS = sorted(
+        {0, 1, 2, 1000, 30001}
+        | {c for k in range(1, 15) for c in (2**k - 1, 2**k, 2**k + 1)}
+    )
+
+    @pytest.mark.parametrize("count", LANE_COUNTS)
+    def test_lanes_match_scalar_stream(self, count):
+        lanes = Xoshiro256StarStar(2718)
+        scalar = Xoshiro256StarStar(2718)
+        assert np.array_equal(lanes.normals(count), normals_scalar(scalar, count))
+        assert lanes._s == scalar._s
+
+    def test_lanes_from_sparse_state(self):
+        # No seed reaches the all-zero fix: splitmix64 maps four distinct
+        # consecutive states through a bijection, so at most one of the four
+        # words is 0. Its result, the state (1, 0, 0, 0), is set directly.
+        lanes = Xoshiro256StarStar(0)
+        scalar = Xoshiro256StarStar(0)
+        lanes._s = [1, 0, 0, 0]
+        scalar._s = [1, 0, 0, 0]
+        assert np.array_equal(lanes.normals(4099), normals_scalar(scalar, 4099))
+        assert lanes._s == scalar._s
+
+    def test_successive_calls_keep_draw_order(self):
+        # odd counts still consume whole pairs: 4 + 6 outputs
+        rng = Xoshiro256StarStar(31)
+        first, second = rng.normals(3), rng.normals(5)
+        oracle = Xoshiro256StarStar(31)
+        assert np.array_equal(first, normals_scalar(oracle, 3))
+        assert np.array_equal(second, normals_scalar(oracle, 5))
+        stream = Xoshiro256StarStar(31)
+        for _ in range(10):
+            stream.next_u64()
+        assert rng._s == stream._s == oracle._s
+
+    def test_numpy_integer_count(self):
+        a = Xoshiro256StarStar(4).normals(np.int64(7))
+        assert np.array_equal(a, Xoshiro256StarStar(4).normals(7))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(DataError):
+            Xoshiro256StarStar(1).normals(-1)
 
     def test_normal_moments(self):
         z = Xoshiro256StarStar(2024).normals(100000)
@@ -136,6 +207,14 @@ class TestGenerate:
         sigma = 1.0 / math.sqrt(10.0)
         for x, s, e in zip(noisy.data.sets, clean.data.sets, noise.data.sets):
             assert np.abs(x - (s + sigma * e)).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", list(GOLDEN_SPECS))
+    def test_golden_bytes(self, name):
+        res = generate(SynthSpec(**GOLDEN_SPECS[name]))
+        h = hashlib.sha256()
+        for block in (*res.data.sets, res.latents):
+            h.update(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        assert h.hexdigest() == GOLDEN_SHA256[name]
 
     def test_unmixing_inverts_mixing(self):
         spec = SynthSpec(seed=8, dims=(4, 3), n_exemplars=10, n_components=2)
