@@ -8,21 +8,19 @@ block algebra exact for integer test fixtures.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
 from .errors import DataError, DimensionError
 from .linalg import SYMMETRY_RTOL
 
+_CHUNK_BYTES = 8 << 20  # see `covariance`
+
 
 def block_slices(dims) -> list[slice]:
     """Column slices of the concatenated layout for per-set dims."""
-    out = []
-    offset = 0
-    for d in dims:
-        out.append(slice(offset, offset + d))
-        offset += d
-    return out
+    return [slice(a, b) for a, b in pairwise(accumulate(dims, initial=0))]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -58,10 +56,6 @@ class MultiSetData:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def concatenated(self) -> np.ndarray:
-        """The T x total_dim matrix with set blocks side by side."""
-        return np.hstack(self.sets)
 
 
 def load(sets) -> MultiSetData:
@@ -102,14 +96,13 @@ def center(data: MultiSetData) -> MultiSetData:
     Centering already-centered data is effectively a no-op: the freshly
     computed deltas are near zero and fold into the stored means.
     """
-    blocks = []
-    means = []
-    for l, block in enumerate(data.sets):
-        mu = block.mean(axis=0)
-        base = data.means[l] if data.means is not None else np.zeros_like(mu)
-        blocks.append(_freeze(block - mu))
-        means.append(_freeze(base + mu))
-    return MultiSetData(sets=tuple(blocks), means=tuple(means), centered=True)
+    mus = [block.mean(axis=0) for block in data.sets]
+    bases = data.means if data.means is not None else [0.0] * data.n_sets
+    return MultiSetData(
+        sets=tuple(_freeze(block - mu) for block, mu in zip(data.sets, mus)),
+        means=tuple(_freeze(base + mu) for base, mu in zip(bases, mus)),
+        centered=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -144,10 +137,7 @@ class CovarianceBlocks:
 
     @property
     def D(self) -> np.ndarray:
-        d = np.zeros_like(self.R)
-        for sl in block_slices(self.dims):
-            d[sl, sl] = self.R[sl, sl]
-        return _freeze(d)
+        return _freeze(self.d_dot(np.eye(self.total_dim)))
 
     def d_dot(self, v: np.ndarray) -> np.ndarray:
         """``D @ v`` as one d_l x d_l by d_l x K product per set."""
@@ -161,15 +151,25 @@ def covariance(data: MultiSetData) -> CovarianceBlocks:
     """Cross-covariance blocks of (internally centered) multi-set data.
 
     Each block is the plain sum over exemplars of centered outer products,
-    computed as one Gram product of the centered concatenation and then
-    symmetrized so R == R.T holds exactly.
+    taken in two passes: one for the column means (centered data keeps its
+    ``means``), then one that centers each row chunk into a reused buffer of
+    at most ``_CHUNK_BYTES`` (or one row) and adds its Gram product into R;
+    8 MiB is 1024 rows at 1024 columns, enough for full-speed BLAS. Beyond
+    the input, memory is that buffer and a few total_dim x total_dim arrays:
+    the data is never copied. R is symmetrized so R == R.T holds exactly.
     """
-    if not data.centered:
-        data = center(data)
-    xc = data.concatenated()
-    r = xc.T @ xc
+    means = data.means if data.centered else [b.mean(axis=0) for b in data.sets]
+    shifts = [0.0] * data.n_sets if data.centered else means
+    rows = max(1, _CHUNK_BYTES // (8 * data.total_dim))
+    buf = np.empty((min(rows, data.n_exemplars), data.total_dim))
+    r = np.zeros((data.total_dim, data.total_dim))
+    for a in range(0, data.n_exemplars, rows):
+        chunk = buf[: min(rows, data.n_exemplars - a)]
+        for block, shift, sl in zip(data.sets, shifts, block_slices(data.dims)):
+            np.subtract(block[a : a + rows], shift, out=chunk[:, sl])
+        r += chunk.T @ chunk
     r = 0.5 * (r + r.T)
-    return _assemble(r, data.dims, data.means)
+    return _assemble(r, data.dims, means)
 
 
 def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:

@@ -196,7 +196,7 @@ def load_model(path: str) -> MccaModel:
     if not isinstance(doc, dict):
         raise DataError(f"{path}: model file must hold a JSON object")
     version = _require(doc, "schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise DataError(
             f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )

@@ -93,10 +93,6 @@ class MccaModel:
     def n_sets(self) -> int:
         return len(self.dims)
 
-    def set_block(self, l: int) -> np.ndarray:
-        """The d_l x K projection block of data set ``l`` (0-based)."""
-        return self.V[block_slices(self.dims)[l], :]
-
 
 @dataclass(frozen=True)
 class WhitenedBasis:
@@ -206,29 +202,28 @@ def fit_one_step(
 ) -> MccaModel:
     """Fit from the eigenvectors of inv(D) R.
 
-    Requires every (gamma-shifted) diagonal block to be positive definite;
-    otherwise a :class:`RankDeficiencyError` points at the failing set and
-    suggests the two-step route or ``gamma > 0``. Kept primarily as an
-    independent cross-check of :func:`fit_two_step`.
+    Requires every (gamma-shifted) diagonal block to be positive definite,
+    with an inverse that does not overflow (as on subnormal data); otherwise
+    a :class:`RankDeficiencyError` points at the failing set and suggests
+    the two-step route or ``gamma > 0``. Kept primarily as an independent
+    cross-check of :func:`fit_two_step`.
     """
     _check_opts(gamma, None)
-    n_sets = cov.n_sets
-    slices = block_slices(cov.dims)
-    inverses = []
-    for l, sl in enumerate(slices):
-        block = cov.R[sl, sl] + gamma * np.eye(cov.dims[l])
-        e = sym_eig(block, name=f"diagonal block of set {l + 1}")
-        if e.values[0] <= 0.0 or e.values[-1] <= PD_RTOL * e.values[0]:
-            raise RankDeficiencyError(
-                f"diagonal covariance block of data set {l + 1} is singular "
-                f"(smallest eigenvalue {e.values[-1]:.3e} vs largest "
-                f"{e.values[0]:.3e}); use fit_two_step or gamma > 0"
-            )
-        inverses.append((e.vectors / e.values) @ e.vectors.T)
     r_reg = cov.R + gamma * np.eye(cov.total_dim)
     m = np.empty_like(r_reg)
-    for l in range(n_sets):
-        m[slices[l], :] = inverses[l] @ r_reg[slices[l], :]
+    for l, sl in enumerate(block_slices(cov.dims)):
+        e = sym_eig(r_reg[sl, sl], name=f"diagonal block of set {l + 1}")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            inverse = (e.vectors / e.values) @ e.vectors.T
+        singular = e.values[0] <= 0.0 or e.values[-1] <= PD_RTOL * e.values[0]
+        if singular or not np.isfinite(inverse).all():
+            cause = "is singular" if singular else "has an inverse that overflows"
+            raise RankDeficiencyError(
+                f"diagonal covariance block of data set {l + 1} {cause} (smallest "
+                f"eigenvalue {e.values[-1]:.3e} vs largest {e.values[0]:.3e}); "
+                "use fit_two_step or gamma > 0"
+            )
+        m[sl, :] = inverse @ r_reg[sl, :]
     values, vectors = general_eig_real(m)
     reg = RegularizationRecord(gamma=float(gamma), rank_tol=None, ranks=cov.dims)
     return _finish(cov, values, vectors, k, ONE_STEP, reg)

@@ -214,6 +214,10 @@ class SynthSpec:
             raise DataError("need at least 2 data sets")
         if any(d < 1 for d in dims):
             raise DataError(f"set dimensions must be >= 1, got {dims}")
+        for name in ("n_exemplars", "n_components"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.n_exemplars < 2:
             raise DataError(f"need at least 2 exemplars, got {self.n_exemplars}")
         if not 1 <= self.n_components <= min(dims):

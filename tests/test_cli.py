@@ -90,6 +90,19 @@ class TestFit:
         assert code == 3
         assert "singular" in err
 
+    def test_one_step_on_tiny_scale_exit_3(self, tmp_path):
+        rng = np.random.default_rng(5)
+        shared = rng.standard_normal((500, 1))
+        arr = np.hstack([shared + rng.standard_normal((500, 4)) for _ in range(3)])
+        data = tmp_path / "d.csv"
+        write_data_csv(data, arr * 1e-160)
+        code, _, err = run_cli(
+            "fit", "--input", data, "--dims", "4,4,4", "--method", "one-step",
+            "--output", tmp_path / "m.json",
+        )
+        assert code == 3
+        assert "data set" in err and "fit_two_step" in err
+
     def test_missing_input_exit_2(self, tmp_path):
         code, _, err = run_cli(
             "fit", "--input", tmp_path / "nope.csv", "--dims", "1,1",

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mcca.data
 from mcca import (
     DataError,
     DimensionError,
@@ -16,6 +21,9 @@ from mcca.linalg import sym_eig
 class TestBlockSlices:
     def test_layout(self):
         assert block_slices((2, 3, 1)) == [slice(0, 2), slice(2, 5), slice(5, 6)]
+
+    def test_one_pass_iterable(self):
+        assert block_slices(d for d in (2, 3, 1)) == [slice(0, 2), slice(2, 5), slice(5, 6)]
 
 
 class TestLoad:
@@ -148,6 +156,56 @@ class TestCovariance:
         pre = covariance(center(load(sets)))
         assert np.abs(raw.R - pre.R).max() <= 1e-9 * np.abs(raw.R).max()
         assert np.allclose(raw.means[0], sets[0].mean(axis=0))
+
+
+class TestChunkedCovariance:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+        rows=st.integers(3, 6),
+        t_case=st.one_of(
+            st.sampled_from([-1, 0, 1]).map(lambda j: (1, j)),
+            st.tuples(st.integers(2, 6), st.integers(-1, 1)),
+        ),
+        offset=st.floats(-1e8, 1e8),
+        pre_centered=st.booleans(),
+    )
+    def test_matches_gram_across_chunk_boundaries(
+        self, seed, dims, rows, t_case, offset, pre_centered
+    ):
+        n_chunks, extra = t_case
+        t = n_chunks * rows + extra
+        rng = np.random.default_rng(seed)
+        sets = [offset + rng.standard_normal((t, d)) for d in dims]
+        data = load(sets)
+        if pre_centered:
+            data = center(data)
+            xc = np.hstack(data.sets)
+            means = data.means
+        else:
+            xc = np.hstack([s - s.mean(axis=0) for s in data.sets])
+            means = [s.mean(axis=0) for s in data.sets]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcca.data, "_CHUNK_BYTES", rows * 8 * sum(dims))
+            cov = covariance(data)
+        ref = xc.T @ xc
+        assert np.abs(cov.R - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(cov.R, cov.R.T)
+        for got, want in zip(cov.means, means):
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_below_one_copy_of_the_data(self):
+        rng = np.random.default_rng(10)
+        data = load([rng.standard_normal((20000, d)) for d in (32, 32, 64)])
+        data_bytes = sum(s.nbytes for s in data.sets)
+        tracemalloc.start()
+        try:
+            covariance(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data_bytes
 
 
 class TestCovarianceFromMatrix:

@@ -193,6 +193,16 @@ class TestModelFile:
         with pytest.raises(DataError, match="schema_version"):
             load_model(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_schema_version_must_be_an_integer(self, tmp_path, version):
+        path = tmp_path / "m.json"
+        save_model(self.make_model(), path)
+        doc = json.loads(path.read_text())
+        doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="schema_version"):
+            load_model(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "m.json"
         save_model(self.make_model(), path)

@@ -160,6 +160,14 @@ class TestFitOneStep:
         model = fit_one_step(cov, gamma=1e-3 * np.abs(cov.R).max())
         assert model.n_components == 5
 
+    def test_overflowing_inverse_rejected_with_guidance(self):
+        data = random_instance(np.random.default_rng(5), (4, 4, 4), 500)
+        tiny = covariance(load([s * 1e-160 for s in data.sets]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RankDeficiencyError, match=r"data set \d.*fit_two_step"):
+                fit_one_step(tiny)
+
     def test_degenerate_ties_still_decorrelated(self):
         r = np.eye(4)
         r[0, 2] = r[2, 0] = 0.5

@@ -154,6 +154,21 @@ class TestSynthSpec:
         with pytest.raises(DataError):
             SynthSpec(seed=0, dims=(2,), n_exemplars=10, n_components=1)
 
+    @pytest.mark.parametrize("field", ["n_exemplars", "n_components"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+    def test_non_integer_sizes_named(self, field, value):
+        sizes = {"n_exemplars": 10, "n_components": 1, field: value}
+        with pytest.raises(DataError, match=field):
+            SynthSpec(seed=1, dims=(2, 2), **sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        plain = generate(SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1))
+        numpy = generate(
+            SynthSpec(seed=1, dims=(2, 2), n_exemplars=np.int64(10), n_components=np.int32(1))
+        )
+        for a, b in zip(plain.data.sets, numpy.data.sets):
+            assert np.array_equal(a, b)
+
     def test_mixing_shape_checked(self):
         with pytest.raises(DataError):
             SynthSpec(
