@@ -111,11 +111,9 @@ class CovarianceBlocks:
 
     ``R`` is the total_dim x total_dim sum of outer products of the centered
     concatenated sets; its block (l, k) is the d_l x d_k cross-covariance of
-    sets l and k. ``blocks`` and ``D`` are derived from ``R`` on access:
-    ``blocks[l][k]`` is a read-only view of block (l, k), and ``D`` a dense
-    copy of the diagonal blocks, zero elsewhere. Inside the package D is
-    only ever applied block by block, through :meth:`d_dot`. ``means``
-    carries the training means so fitted models can be applied to new data.
+    sets l and k. D, the block diagonal part of R, is only ever applied
+    block by block, through :meth:`d_dot`. ``means`` carries the training
+    means so fitted models can be applied to new data.
     """
 
     R: np.ndarray
@@ -129,15 +127,6 @@ class CovarianceBlocks:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    @property
-    def blocks(self) -> tuple:
-        slices = block_slices(self.dims)
-        return tuple(tuple(self.R[sl, sk] for sk in slices) for sl in slices)
-
-    @property
-    def D(self) -> np.ndarray:
-        return _freeze(self.d_dot(np.eye(self.total_dim)))
 
     def d_dot(self, v: np.ndarray) -> np.ndarray:
         """``D @ v`` as one d_l x d_l by d_l x K product per set."""

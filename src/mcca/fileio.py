@@ -6,12 +6,14 @@ CLI's --dims flag). A first row with any non-numeric field is treated as a
 header. Floats are written with repr and parsed as float() parses them, so
 they round-trip exactly and '.' is the decimal separator in any locale.
 
-Model files are JSON with a schema_version field. Arrays keep full float
-precision; NaN (legal only in rho_empirical) is stored as null because JSON
-has no NaN literal. Every other array entry must be a finite number.
+Model files are JSON with a schema_version field. save_model writes the
+bytes of json.dump(indent=1) one array row at a time, floats at full
+precision, after refusing any non-finite entry before it touches the file
+(NaN, stored as null since JSON has none, is legal only in rho_empirical).
 """
 
 import csv
+import dataclasses
 import json
 import sys
 
@@ -106,26 +108,55 @@ def write_projections_csv(path: str, signals: tuple) -> None:
     write_data_csv(path, np.hstack(signals), header=header)
 
 
+def _dump(fh, obj, pad: str = "") -> None:
+    """Write ``obj`` exactly as ``json.dump(obj, fh, indent=1)`` would.
+
+    Only dicts and lists of lists are walked in Python; each list of scalars
+    (a 1-D array, or one row of a 2-D array) is one C-level json.dumps call.
+    """
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist() if obj.ndim == 1 else list(obj)
+    inner = pad + " "
+    if isinstance(obj, dict) and obj:
+        brackets, items = "{}", [(json.dumps(k) + ": ", v) for k, v in obj.items()]
+    elif obj and isinstance(obj, (list, tuple)) and isinstance(obj[0], (list, tuple, np.ndarray)):
+        brackets, items = "[]", [("", v) for v in obj]
+    else:  # a scalar, an empty container or a list of scalars
+        text = json.dumps(obj, allow_nan=False, separators=(",\n" + inner, ": "))
+        fh.write(f"[\n{inner}{text[1:-1]}\n{pad}]" if text[0] == "[" and obj else text)
+        return
+    fh.write(brackets[0])
+    for i, (key, value) in enumerate(items):
+        fh.write(f"{',' if i else ''}\n{inner}{key}")
+        _dump(fh, value, inner)
+    fh.write(f"\n{pad}{brackets[1]}")
+
+
 def save_model(model: MccaModel, path: str) -> None:
-    """Serialize a fitted model as JSON at full float precision."""
+    """Serialize a fitted model as JSON at full float precision.
+
+    A non-finite array entry (NaN is allowed in rho_empirical) raises
+    DataError naming the field before ``path`` is opened.
+    """
     rho_e = model.rho_empirical
+    for what, arr in [("V", model.V), ("means", np.concatenate(model.means)),
+                      ("lambda", model.lambdas), ("rho_analytic", model.rho_analytic),
+                      ("rho_empirical", rho_e[~np.isnan(rho_e)])]:
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: {what} holds a non-finite entry; model not saved")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "method": model.method,
-        "dims": list(model.dims),
-        "means": [m.tolist() for m in model.means],
-        "reg": {
-            "gamma": model.reg.gamma,
-            "rank_tol": model.reg.rank_tol,
-            "ranks": list(model.reg.ranks),
-        },
-        "lambda": model.lambdas.tolist(),
-        "rho_analytic": model.rho_analytic.tolist(),
-        "rho_empirical": np.where(np.isnan(rho_e), None, rho_e).tolist(),
-        "V": [model.V[sl, :].tolist() for sl in block_slices(model.dims)],
+        "dims": model.dims,
+        "means": model.means,
+        "reg": dataclasses.asdict(model.reg),
+        "lambda": model.lambdas,
+        "rho_analytic": model.rho_analytic,
+        "rho_empirical": np.where(np.isnan(rho_e), None, rho_e),
+        "V": [model.V[sl] for sl in block_slices(model.dims)],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, allow_nan=False)
+        _dump(fh, doc)
         fh.write("\n")
 
 

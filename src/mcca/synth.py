@@ -208,16 +208,16 @@ class SynthSpec:
     mixing: tuple | None = field(default=None)
 
     def __post_init__(self):
+        named = [(name, getattr(self, name)) for name in ("seed", "n_exemplars", "n_components")]
+        for name, value in named + [(f"dims entry {l + 1}", d) for l, d in enumerate(self.dims)]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 2:
             raise DataError("need at least 2 data sets")
         if any(d < 1 for d in dims):
             raise DataError(f"set dimensions must be >= 1, got {dims}")
-        for name in ("n_exemplars", "n_components"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.n_exemplars < 2:
             raise DataError(f"need at least 2 exemplars, got {self.n_exemplars}")
         if not 1 <= self.n_components <= min(dims):

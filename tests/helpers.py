@@ -5,9 +5,52 @@ literal double sums, and classical formulas, so agreement is evidence
 rather than tautology.
 """
 
+import json
+
 import numpy as np
 
 import mcca
+
+
+def cov_blocks(cov):
+    """``cov_blocks(cov)[l][k]``: the d_l x d_k block (l, k) of ``cov.R``, as a view."""
+    slices = mcca.block_slices(cov.dims)
+    return tuple(tuple(cov.R[sl, sk] for sk in slices) for sl in slices)
+
+
+def dense_d(cov):
+    """D as a dense matrix: the diagonal blocks of ``cov.R``, zero elsewhere."""
+    d = np.zeros_like(cov.R)
+    for sl in mcca.block_slices(cov.dims):
+        d[sl, sl] = cov.R[sl, sl]
+    return d
+
+
+def save_model_json_dump(model, path):
+    """``save_model`` as one ``json.dump(indent=1)`` of ``tolist()`` copies.
+
+    The byte oracle for the streaming writer: this is how model files were
+    written before, and the files must not change.
+    """
+    rho_e = model.rho_empirical
+    doc = {
+        "schema_version": mcca.fileio.SCHEMA_VERSION,
+        "method": model.method,
+        "dims": list(model.dims),
+        "means": [m.tolist() for m in model.means],
+        "reg": {
+            "gamma": model.reg.gamma,
+            "rank_tol": model.reg.rank_tol,
+            "ranks": list(model.reg.ranks),
+        },
+        "lambda": model.lambdas.tolist(),
+        "rho_analytic": model.rho_analytic.tolist(),
+        "rho_empirical": np.where(np.isnan(rho_e), None, rho_e).tolist(),
+        "V": [model.V[sl, :].tolist() for sl in mcca.block_slices(model.dims)],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, allow_nan=False)
+        fh.write("\n")
 
 
 def isc_literal(columns):
@@ -40,12 +83,13 @@ def isc_from_cov_loops(cov, v):
     within-set variance is at or below the library's variance floor.
     """
     parts = [v[sl] for sl in mcca.block_slices(cov.dims)]
+    blocks = cov_blocks(cov)
     n = cov.n_sets
     r_within = 0.0
     r_total = 0.0
     for l in range(n):
         for k in range(n):
-            q = float(parts[l] @ cov.blocks[l][k] @ parts[k])
+            q = float(parts[l] @ blocks[l][k] @ parts[k])
             r_total += q
             if l == k:
                 r_within += q
@@ -66,14 +110,15 @@ def stationarity_residual_loops(cov, model, n):
     gamma = model.reg.gamma
     rho = float(model.rho_analytic[n])
     parts = [model.V[sl, n] for sl in mcca.block_slices(cov.dims)]
+    blocks = cov_blocks(cov)
     n_sets = cov.n_sets
     worst = 0.0
     for l in range(n_sets):
         acc = np.zeros(cov.dims[l])
         for k in range(n_sets):
             if k != l:
-                acc += cov.blocks[l][k] @ parts[k]
-        own = cov.blocks[l][l] @ parts[l] + gamma * parts[l]
+                acc += blocks[l][k] @ parts[k]
+        own = blocks[l][l] @ parts[l] + gamma * parts[l]
         worst = max(worst, float(np.abs(acc / (n_sets - 1) - own * rho).max()))
     scale = max(float(np.abs(cov.R).max()), gamma)
     vinf = float(np.abs(model.V[:, n]).max())

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mcca
-from helpers import random_instance
+import mcca.cli
+from helpers import random_instance, save_model_json_dump
 from mcca import (
     DataError,
     DimensionError,
@@ -327,3 +330,86 @@ class TestModelFile:
         doc = json.loads(path.read_text())
         assert doc["reg"]["rank_tol"] is None
         assert load_model(path).reg.rank_tol is None
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    """A 16 x 64 fit that keeps all 1024 components."""
+    model = mcca.fit(random_instance(np.random.default_rng(5), (64,) * 16, 1100))
+    assert model.n_components == 1024
+    return model
+
+
+class TestModelBytes:
+    """``save_model`` writes the bytes of one ``json.dump(indent=1)``."""
+
+    def assert_oracle_bytes(self, model, tmp_path):
+        save_model(model, tmp_path / "new.json")
+        save_model_json_dump(model, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    @pytest.mark.parametrize("dims, k, gamma", [((2, 3), None, 0.0), ((1, 3, 2), 1, 0.0), ((2, 3), None, 0.5)])
+    def test_fits(self, tmp_path, method, dims, k, gamma):
+        data = random_instance(np.random.default_rng(4), dims, 40)
+        self.assert_oracle_bytes(mcca.fit(data, method=method, k=k, gamma=gamma), tmp_path)
+
+    def test_patched_entries(self, tmp_path):
+        model = mcca.fit(random_instance(np.random.default_rng(4), (2, 3), 40))
+        special = [-0.0, 5e-324, 1e16, 1e-5, 0.1]
+        v = model.V.copy()
+        v.flat[: len(special)] = special
+        rho_e = model.rho_empirical.copy()
+        rho_e[1] = np.nan
+        patched = dataclasses.replace(
+            model,
+            V=v,
+            lambdas=np.array(special[::-1]),
+            rho_empirical=rho_e,
+            means=(np.array(special[:2]), np.array(special[2:])),
+            reg=dataclasses.replace(model.reg, rank_tol=None),
+        )
+        self.assert_oracle_bytes(patched, tmp_path)
+
+    def test_all_components_of_a_wide_fit(self, tmp_path, wide_model):
+        self.assert_oracle_bytes(wide_model, tmp_path)
+
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    def test_readme_example(self, tmp_path, method, capsys):
+        demo, model = tmp_path / "demo.csv", tmp_path / "model.json"
+        assert mcca.cli.main(["synth", "--seed", "7", "--n", "3", "--dims", "4,4,4", "--t", "2000",
+                              "--k", "2", "--snr", "10", "--output", str(demo)]) == 0
+        assert mcca.cli.main(["fit", "--input", str(demo), "--dims", "4,4,4", "--k", "3",
+                              "--method", method, "--output", str(model)]) == 0
+        save_model_json_dump(load_model(model), tmp_path / "old.json")
+        assert model.read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    def test_peak_memory_holds_no_copy_of_v(self, tmp_path, wide_model):
+        tracemalloc.start()
+        try:
+            save_model(wide_model, tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    NON_FINITE = [
+        ("V", np.nan), ("V", -np.inf), ("means", np.nan), ("lambda", np.inf),
+        ("rho_analytic", np.nan), ("rho_empirical", np.inf), ("rho_empirical", -np.inf),
+    ]
+
+    @pytest.mark.parametrize("field, value", NON_FINITE)
+    def test_rejected_save_leaves_old_file(self, tmp_path, field, value):
+        model = mcca.fit(random_instance(np.random.default_rng(4), (2, 3), 40))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        before = path.read_bytes()
+        arrays = {"V": model.V, "means": model.means[1], "lambda": model.lambdas,
+                  "rho_analytic": model.rho_analytic, "rho_empirical": model.rho_empirical}
+        bad = arrays[field].copy()
+        bad.flat[-1] = value
+        attr = {"lambda": "lambdas"}.get(field, field)
+        bad = (model.means[0], bad) if field == "means" else bad
+        with pytest.raises(DataError, match=f": {field} holds"):
+            save_model(dataclasses.replace(model, **{attr: bad}), path)
+        assert path.read_bytes() == before

@@ -5,6 +5,7 @@ import pytest
 
 import mcca
 from helpers import (
+    dense_d,
     eigenvalue_clusters,
     isc_from_cov_loops,
     principal_angle,
@@ -141,7 +142,7 @@ class TestFitOneStep:
         cov = covariance_from_matrix(np.eye(4), (2, 2))
         model = fit_one_step(cov)
         assert np.abs(model.lambdas - 1.0).max() <= 1e-12
-        d_gram = model.V.T @ cov.D @ model.V
+        d_gram = model.V.T @ dense_d(cov) @ model.V
         assert np.abs(d_gram - np.eye(4)).max() <= 1e-7
 
     def test_singular_block_rejected_with_guidance(self):
@@ -175,7 +176,7 @@ class TestFitOneStep:
         cov = covariance_from_matrix(r, (2, 2))
         model = fit_one_step(cov)
         assert np.abs(model.lambdas - np.array([1.5, 1.5, 0.5, 0.5])).max() <= 1e-12
-        gram = model.V.T @ cov.D @ model.V
+        gram = model.V.T @ dense_d(cov) @ model.V
         assert np.abs(gram - np.eye(4)).max() <= 1e-10
 
 
@@ -228,7 +229,7 @@ class TestModelInvariants:
             data = random_instance(np.random.default_rng(seed), dims, 35)
             cov = covariance(data)
             model = fit_two_step(cov)
-            gram = model.V.T @ cov.D @ model.V
+            gram = model.V.T @ dense_d(cov) @ model.V
             off = gram - np.diag(np.diag(gram))
             assert np.abs(off).max() <= 1e-7
             assert np.abs(np.diag(gram) - 1.0).max() <= 1e-7

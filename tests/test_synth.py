@@ -154,18 +154,28 @@ class TestSynthSpec:
         with pytest.raises(DataError):
             SynthSpec(seed=0, dims=(2,), n_exemplars=10, n_components=1)
 
-    @pytest.mark.parametrize("field", ["n_exemplars", "n_components"])
+    @pytest.mark.parametrize("field", ["seed", "n_exemplars", "n_components"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
     def test_non_integer_sizes_named(self, field, value):
-        sizes = {"n_exemplars": 10, "n_components": 1, field: value}
+        sizes = {"seed": 1, "n_exemplars": 10, "n_components": 1, field: value}
         with pytest.raises(DataError, match=field):
-            SynthSpec(seed=1, dims=(2, 2), **sizes)
+            SynthSpec(dims=(2, 2), **sizes)
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "2", None])
+    def test_non_integer_dims_named(self, value):
+        with pytest.raises(DataError, match="dims entry 2"):
+            SynthSpec(seed=1, dims=(2, value), n_exemplars=10, n_components=1)
 
     def test_numpy_integer_sizes_accepted(self):
         plain = generate(SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1))
-        numpy = generate(
-            SynthSpec(seed=1, dims=(2, 2), n_exemplars=np.int64(10), n_components=np.int32(1))
+        spec = SynthSpec(
+            seed=np.uint64(1),
+            dims=(np.int64(2), np.int8(2)),
+            n_exemplars=np.int64(10),
+            n_components=np.int32(1),
         )
+        assert spec.dims == (2, 2) and all(type(d) is int for d in spec.dims)
+        numpy = generate(spec)
         for a, b in zip(plain.data.sets, numpy.data.sets):
             assert np.array_equal(a, b)
 
