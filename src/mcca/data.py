@@ -13,7 +13,7 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .linalg import SYMMETRY_RTOL
+from .linalg import symmetrized
 
 _CHUNK_BYTES = 8 << 20  # see `covariance`
 
@@ -28,6 +28,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is_real(x) -> bool:
+    """A Python or numpy integer or float, but not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class MultiSetData:
     """N data sets over shared exemplars.
@@ -39,7 +44,10 @@ class MultiSetData:
 
     sets: tuple
     means: tuple | None
-    centered: bool
+
+    @property
+    def centered(self) -> bool:
+        return self.means is not None
 
     @property
     def n_sets(self) -> int:
@@ -87,7 +95,7 @@ def load(sets) -> MultiSetData:
         out.append(_freeze(arr))
     if t < 2:
         raise DimensionError(f"need at least 2 exemplars, got {t}")
-    return MultiSetData(sets=tuple(out), means=None, centered=False)
+    return MultiSetData(sets=tuple(out), means=None)
 
 
 def center(data: MultiSetData) -> MultiSetData:
@@ -101,7 +109,6 @@ def center(data: MultiSetData) -> MultiSetData:
     return MultiSetData(
         sets=tuple(_freeze(block - mu) for block, mu in zip(data.sets, mus)),
         means=tuple(_freeze(base + mu) for base, mu in zip(bases, mus)),
-        centered=True,
     )
 
 
@@ -177,11 +184,7 @@ def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:
         raise DimensionError(f"covariance must be {total}x{total}, got {r.shape}")
     if not np.isfinite(r).all():
         raise DataError("covariance contains non-finite values")
-    asym = float(np.abs(r - r.T).max())
-    scale = float(np.abs(r).max())
-    if asym > SYMMETRY_RTOL * max(scale, 1e-300):
-        raise DataError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
-    r = 0.5 * (r + r.T)
+    r = symmetrized(r, "covariance")
     if means is None:
         means = tuple(np.zeros(d) for d in dims)
     else:

@@ -54,6 +54,18 @@ class SymEig:
     vectors: np.ndarray
 
 
+def symmetrized(a: np.ndarray, name: str) -> np.ndarray:
+    """``(a + a.T) / 2``; DataError if ``a`` is asymmetric beyond ``SYMMETRY_RTOL``."""
+    scale = float(np.abs(a).max())
+    asym = float(np.abs(a - a.T).max())
+    if asym > SYMMETRY_RTOL * scale:
+        raise DataError(
+            f"{name} is not symmetric: max asymmetry {asym:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.0e} of its largest entry {scale:.3e}"
+        )
+    return 0.5 * (a + a.T)
+
+
 def sym_eig(a, name: str = "matrix") -> SymEig:
     """Full eigendecomposition of a symmetric matrix.
 
@@ -66,15 +78,7 @@ def sym_eig(a, name: str = "matrix") -> SymEig:
     n, m = a.shape
     if n != m:
         raise DimensionError(f"{name} must be square, got {n}x{m}")
-    scale = float(np.abs(a).max())
-    asym = float(np.abs(a - a.T).max())
-    if asym > SYMMETRY_RTOL * scale:
-        raise DataError(
-            f"{name} is not symmetric: max asymmetry {asym:.3e} exceeds "
-            f"{SYMMETRY_RTOL:.0e} of its largest entry {scale:.3e}"
-        )
-    sym = 0.5 * (a + a.T)
-    w, q = np.linalg.eigh(sym)
+    w, q = np.linalg.eigh(symmetrized(a, name))
     # eigh returns ascending order
     values = np.ascontiguousarray(w[::-1])
     vectors = np.ascontiguousarray(q[:, ::-1])
@@ -102,33 +106,21 @@ def general_eig_real(a) -> tuple[np.ndarray, np.ndarray]:
     if n != m:
         raise DimensionError(f"matrix must be square, got {n}x{m}")
     w, v = np.linalg.eig(a)
-    if not np.iscomplexobj(w):
-        values = w.astype(np.float64, copy=True)
-        vectors = v.astype(np.float64, copy=True)
-    else:
-        scale = float(np.abs(w).max())
-        worst = float(np.abs(w.imag).max())
-        if worst > EIG_IMAG_RTOL * scale:
-            raise DegeneracyError(
-                f"complex eigenvalue detected (imag {worst:.3e} vs spectral "
-                f"scale {scale:.3e}); the block diagonal is not positive definite"
-            )
-        values = w.real.copy()
-        vectors = np.empty((n, n), dtype=np.float64)
-        j = 0
-        while j < n:
-            if w.imag[j] != 0.0 and j + 1 < n:
-                # LAPACK emits conjugate pairs adjacently; their real and
-                # imaginary parts span the 2-D invariant subspace.
-                vectors[:, j] = v[:, j].real
-                vectors[:, j + 1] = v[:, j].imag
-                values[j + 1] = values[j]
-                j += 2
-            else:
-                vectors[:, j] = v[:, j].real
-                j += 1
-    order = np.argsort(-values, kind="stable")
-    values = np.ascontiguousarray(values[order])
+    scale = float(np.abs(w).max())
+    worst = float(np.abs(w.imag).max())
+    if worst > EIG_IMAG_RTOL * scale:
+        raise DegeneracyError(
+            f"complex eigenvalue detected (imag {worst:.3e} vs spectral "
+            f"scale {scale:.3e}); the block diagonal is not positive definite"
+        )
+    # LAPACK emits each conjugate pair adjacently, with one real part and the
+    # positive imaginary part first; that vector's real and imaginary parts
+    # span the pair's 2-D invariant subspace.
+    vectors = v.real.copy()
+    first = np.flatnonzero(w.imag > 0.0)
+    vectors[:, first + 1] = v[:, first].imag
+    order = np.argsort(-w.real, kind="stable")
+    values = np.ascontiguousarray(w.real[order])
     vectors = np.ascontiguousarray(vectors[:, order])
     fix_column_signs(vectors)
     return values, vectors

@@ -45,10 +45,6 @@ class Projections:
         return len(self.signals)
 
     @property
-    def n_exemplars(self) -> int:
-        return self.signals[0].shape[0]
-
-    @property
     def n_components(self) -> int:
         return self.signals[0].shape[1]
 

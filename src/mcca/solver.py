@@ -22,10 +22,11 @@ touching the cross-covariances.
 """
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
-from .data import CovarianceBlocks, MultiSetData, _freeze, block_slices, covariance
+from .data import CovarianceBlocks, MultiSetData, _freeze, _is_real, block_slices, covariance
 from .errors import (
     DataError,
     DegeneracyError,
@@ -109,11 +110,16 @@ class WhitenedBasis:
     rtilde: np.ndarray
 
 
-def _check_opts(gamma: float, rank_tol: float | None) -> None:
-    if not (np.isfinite(gamma) and gamma >= 0.0):
-        raise DataError(f"gamma must be a finite value >= 0, got {gamma}")
-    if rank_tol is not None and not 0.0 < rank_tol < 1.0:
-        raise DataError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol}")
+def _check_gamma(gamma: float) -> None:
+    if not (_is_real(gamma) and np.isfinite(gamma) and gamma >= 0.0):
+        raise DataError(f"gamma must be a finite number >= 0, got {gamma!r}")
+
+
+def _diag_eigs(cov: CovarianceBlocks, gamma: float):
+    """Yield ``(l, slice, R_ll + gamma I, sym_eig of that block)`` per set l."""
+    for l, sl in enumerate(block_slices(cov.dims)):
+        block = cov.R[sl, sl] + gamma * np.eye(cov.dims[l])
+        yield l, sl, block, sym_eig(block, name=f"diagonal block of set {l + 1}")
 
 
 def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: float = 0.0) -> WhitenedBasis:
@@ -123,12 +129,13 @@ def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: flo
     largest eigenvalue are dropped. A set whose block has no retained
     direction at all raises :class:`DegenerateSetError` naming the set.
     """
-    _check_opts(gamma, rank_tol)
+    _check_gamma(gamma)
+    if not (_is_real(rank_tol) and 0.0 < rank_tol < 1.0):
+        raise DataError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol!r}")
     slices = block_slices(cov.dims)
     diag, eigvals, ranks, maps = [], [], [], []
-    for l, sl in enumerate(slices):
-        diag.append(cov.R[sl, sl] + gamma * np.eye(cov.dims[l]))
-        e = sym_eig(diag[l], name=f"diagonal block of set {l + 1}")
+    for l, _, block, e in _diag_eigs(cov, gamma):
+        diag.append(block)
         if e.values[0] <= 0.0:
             raise DegenerateSetError(l + 1, cov.n_sets, "its covariance block is zero")
         r = int(np.count_nonzero(e.values > rank_tol * e.values[0]))
@@ -208,11 +215,10 @@ def fit_one_step(
     the two-step route or ``gamma > 0``. Kept primarily as an independent
     cross-check of :func:`fit_two_step`.
     """
-    _check_opts(gamma, None)
+    _check_gamma(gamma)
     r_reg = cov.R + gamma * np.eye(cov.total_dim)
     m = np.empty_like(r_reg)
-    for l, sl in enumerate(block_slices(cov.dims)):
-        e = sym_eig(r_reg[sl, sl], name=f"diagonal block of set {l + 1}")
+    for l, sl, _, e in _diag_eigs(cov, gamma):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             inverse = (e.vectors / e.values) @ e.vectors.T
         singular = e.values[0] <= 0.0 or e.values[-1] <= PD_RTOL * e.values[0]
@@ -298,6 +304,8 @@ def _finish(
     available = int(values.shape[0])
     if k is None:
         k = available
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise DataError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= available:
         raise DimensionError(
             f"requested {k} components but only {available} are available"
@@ -329,14 +337,12 @@ def _orthonormalize_ties(
     basis is arbitrary, so a symmetric orthogonalization pins it down
     without leaving the cluster's eigenspace.
     """
-    n = values.shape[0]
     tol = TIE_RTOL * max(abs(float(values[0])), abs(float(values[-1])))
-    start = 0
-    for i in range(1, n + 1):
-        if i < n and values[i - 1] - values[i] <= tol:
-            continue
-        if i - start > 1:
-            vc = vectors[:, start:i]
+    # a cluster ends where the next value falls by more than tol
+    edges = np.flatnonzero(np.diff(values, prepend=np.inf, append=-np.inf) < -tol)
+    for start, stop in pairwise(edges):
+        if stop - start > 1:
+            vc = vectors[:, start:stop]
             gram = vc.T @ (cov.d_dot(vc) + gamma * vc)
             gram = 0.5 * (gram + gram.T)
             w, qmat = np.linalg.eigh(gram)
@@ -344,5 +350,4 @@ def _orthonormalize_ties(
                 raise DegeneracyError(
                     "linearly dependent eigenvectors in a degenerate cluster"
                 )
-            vectors[:, start:i] = vc @ (qmat / np.sqrt(w)) @ qmat.T
-        start = i
+            vectors[:, start:stop] = vc @ (qmat / np.sqrt(w)) @ qmat.T

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultiSetData, _freeze, load
+from .data import MultiSetData, _freeze, _is_real, load
 from .errors import DataError
 from .metrics import transform
 
@@ -225,8 +225,8 @@ class SynthSpec:
                 f"shared component count {self.n_components} must lie in "
                 f"[1, {min(dims)}], the smallest set dimension"
             )
-        if not (self.snr >= 0.0):
-            raise DataError(f"snr must be >= 0, got {self.snr}")
+        if not (_is_real(self.snr) and self.snr >= 0.0):
+            raise DataError(f"snr must be a number >= 0, got {self.snr!r}")
         if self.mixing is not None:
             if len(self.mixing) != len(dims):
                 raise DataError("one mixing matrix per set is required")

@@ -125,6 +125,32 @@ def stationarity_residual_loops(cov, model, n):
     return worst / max(scale * vinf, np.finfo(np.float64).tiny)
 
 
+def orthonormalize_ties_loop(values, vectors, cov, gamma):
+    """``solver._orthonormalize_ties`` as a walk over every eigenvalue.
+
+    A cluster runs on while consecutive values differ by at most the tie
+    tolerance; each cluster of two or more columns is replaced, in place,
+    by its symmetric (D + gamma I)-orthonormalization.
+    """
+    n = values.shape[0]
+    tol = mcca.solver.TIE_RTOL * max(abs(float(values[0])), abs(float(values[-1])))
+    start = 0
+    for i in range(1, n + 1):
+        if i < n and values[i - 1] - values[i] <= tol:
+            continue
+        if i - start > 1:
+            vc = vectors[:, start:i]
+            gram = vc.T @ (cov.d_dot(vc) + gamma * vc)
+            gram = 0.5 * (gram + gram.T)
+            w, qmat = np.linalg.eigh(gram)
+            if w[0] <= 1e-12 * w[-1]:
+                raise mcca.DegeneracyError(
+                    "linearly dependent eigenvectors in a degenerate cluster"
+                )
+            vectors[:, start:i] = vc @ (qmat / np.sqrt(w)) @ qmat.T
+        start = i
+
+
 def pearson(x, y):
     """Plain Pearson correlation coefficient."""
     xc = np.asarray(x, dtype=float) - np.mean(x)

@@ -230,7 +230,8 @@ class TestCovarianceFromMatrix:
     def test_asymmetric_rejected(self):
         r = np.eye(2)
         r[0, 1] = 0.5
-        with pytest.raises(DataError):
+        # the same check and message as sym_eig
+        with pytest.raises(DataError, match="covariance is not symmetric: max asymmetry 5.000e-01"):
             covariance_from_matrix(r, (1, 1))
 
     def test_non_finite_rejected(self):

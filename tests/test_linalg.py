@@ -166,6 +166,38 @@ class TestGeneralEigReal:
         ref = sym_eig(w.T @ r @ w).values
         assert np.abs(values - ref).max() <= 1e-7 * max(abs(ref[0]), 1.0)
 
+    @staticmethod
+    def assert_pairs_folded(a, want, pairs):
+        """Check values, residual, and that each folded pair spans its subspace.
+
+        ``pairs`` maps the first output column of each folded pair to an
+        orthonormal basis of that pair's invariant subspace.
+        """
+        w = np.linalg.eig(a)[0]
+        assert np.count_nonzero(w.imag > 0) == len(pairs)  # the fold is reached
+        values, vectors = general_eig_real(a)
+        assert np.abs(values - want).max() <= 1e-12 * max(want)
+        resid = a @ vectors - vectors * values
+        assert np.abs(resid).max() <= 1e-10 * np.abs(a).max()
+        for col, basis in pairs.items():
+            folded = vectors[:, col : col + 2]
+            assert np.linalg.cond(folded) <= 1e3
+            assert np.abs(folded - basis @ (basis.T @ folded)).max() <= 1e-10
+
+    def test_conjugate_pair_folded(self):
+        a = np.array([[1.0, -1e-12, 0.0], [1e-12, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        self.assert_pairs_folded(a, [3.0, 1.0, 1.0], {1: np.eye(3)[:, :2]})
+
+    def test_two_conjugate_pairs_folded(self):
+        # an antisymmetric 1e-13 nudge turns both double eigenvalues of a
+        # symmetric matrix into conjugate pairs; their subspaces move ~1e-13
+        q, _ = np.linalg.qr(np.random.default_rng(31).standard_normal((6, 6)))
+        a = q @ np.diag([5.0, 2.0, 2.0, 1.0, 1.0, 0.5]) @ q.T
+        a[0, 1] += 1e-13
+        a[1, 0] -= 1e-13
+        want = [5.0, 2.0, 2.0, 1.0, 1.0, 0.5]
+        self.assert_pairs_folded(a, want, {1: q[:, 1:3], 3: q[:, 3:5]})
+
     def test_complex_spectrum_rejected(self):
         with pytest.raises(DegeneracyError):
             general_eig_real(np.array([[0.0, -1.0], [1.0, 0.0]]))

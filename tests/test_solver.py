@@ -8,6 +8,7 @@ from helpers import (
     dense_d,
     eigenvalue_clusters,
     isc_from_cov_loops,
+    orthonormalize_ties_loop,
     principal_angle,
     random_instance,
     stationarity_residual_loops,
@@ -178,6 +179,34 @@ class TestFitOneStep:
         assert np.abs(model.lambdas - np.array([1.5, 1.5, 0.5, 0.5])).max() <= 1e-12
         gram = model.V.T @ dense_d(cov) @ model.V
         assert np.abs(gram - np.eye(4)).max() <= 1e-10
+
+
+class TestOrthonormalizeTies:
+    # TIE_RTOL * 3 = 3e-10 is the tie tolerance for these spectra
+    @pytest.mark.parametrize(
+        "values, clusters",
+        [
+            ([3.0, 3.0 - 1e-12, 2.0, 1.5, 1.0, 0.5], [(0, 2)]),
+            ([3.0, 2.0, 1.5, 1.0, 0.5, 0.5 - 1e-12], [(4, 6)]),
+            ([3.0, 2.0, 2.0 - 2e-10, 2.0 - 4e-10, 2.0 - 6e-10, 1.0], [(1, 5)]),
+            ([3.0, 2.5, 2.0, 1.5, 1.0, 0.5], []),
+            ([3.0, 2.0, 2.0 - 4e-10, 1.5, 1.0, 0.5], []),
+        ],
+        ids=["first", "last", "chain", "none", "gap_over_tol"],
+    )
+    def test_matches_per_value_loop(self, values, clusters):
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((20, 6))
+        cov = covariance_from_matrix(x.T @ x, (3, 3))
+        values = np.array(values)
+        before = rng.standard_normal((6, 6))
+        want = before.copy()
+        orthonormalize_ties_loop(values, want, cov, 0.25)
+        got = before.copy()
+        mcca.solver._orthonormalize_ties(values, got, cov, 0.25)
+        assert np.array_equal(got, want)
+        changed = [j for j in range(6) if not np.array_equal(got[:, j], before[:, j])]
+        assert changed == [j for a, b in clusters for j in range(a, b)]
 
 
 class TestRouteEquivalence:
@@ -389,6 +418,33 @@ class TestCovarianceAlgebra:
             out = mcca.isc_from_cov(covariance(tiny), model.V[:, 0])
         assert np.isfinite(model.rho_empirical).all()
         assert abs(out.rho - model.rho_empirical[0]) <= 1e-12
+
+
+class TestOptionTypes:
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    @pytest.mark.parametrize(
+        "opt, value",
+        [("gamma", "1"), ("gamma", None), ("gamma", True), ("k", 2.5), ("k", 2.0), ("k", True), ("k", "2")],
+    )
+    def test_bad_types_named(self, method, opt, value):
+        data = random_instance(np.random.default_rng(19), (2, 2), 25)
+        with pytest.raises(DataError, match=opt):
+            mcca.fit(data, method=method, **{opt: value})
+
+    @pytest.mark.parametrize("value", ["x", None, True])
+    def test_bad_rank_tol_named(self, value):
+        data = random_instance(np.random.default_rng(19), (2, 2), 25)
+        with pytest.raises(DataError, match="rank_tol"):
+            mcca.fit(data, rank_tol=value)
+
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    def test_numpy_scalars_accepted(self, method):
+        data = random_instance(np.random.default_rng(19), (2, 2), 25)
+        plain = mcca.fit(data, method=method, rank_tol=1e-9, gamma=0.5, k=2)
+        numpy = mcca.fit(data, method=method, rank_tol=np.float32(1e-9), gamma=np.float64(0.5), k=np.int64(2))
+        assert np.array_equal(plain.V, numpy.V)
+        assert type(numpy.reg.gamma) is float and numpy.reg.gamma == 0.5
+        assert mcca.fit(data, method=method, gamma=np.int64(0)).reg.gamma == 0.0
 
 
 class TestFitFrontend:

@@ -161,6 +161,16 @@ class TestSynthSpec:
         with pytest.raises(DataError, match=field):
             SynthSpec(dims=(2, 2), **sizes)
 
+    @pytest.mark.parametrize("value", [True, "1", None])
+    def test_non_number_snr_named(self, value):
+        with pytest.raises(DataError, match="snr"):
+            SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1, snr=value)
+
+    @pytest.mark.parametrize("value", [3, 2.5, np.float32(0.5), np.float64(4.0), np.int64(2), np.inf])
+    def test_number_snr_accepted(self, value):
+        spec = SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1, snr=value)
+        assert spec.snr == value
+
     @pytest.mark.parametrize("value", [2.7, 2.0, True, "2", None])
     def test_non_integer_dims_named(self, value):
         with pytest.raises(DataError, match="dims entry 2"):
