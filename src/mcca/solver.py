@@ -115,6 +115,11 @@ def _check_gamma(gamma: float) -> None:
         raise DataError(f"gamma must be a finite number >= 0, got {gamma!r}")
 
 
+def _check_rank_tol(rank_tol: float) -> None:
+    if not (_is_real(rank_tol) and 0.0 < rank_tol < 1.0):
+        raise DataError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol!r}")
+
+
 def _diag_eigs(cov: CovarianceBlocks, gamma: float):
     """Yield ``(l, slice, R_ll + gamma I, sym_eig of that block)`` per set l."""
     for l, sl in enumerate(block_slices(cov.dims)):
@@ -130,8 +135,7 @@ def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: flo
     direction at all raises :class:`DegenerateSetError` naming the set.
     """
     _check_gamma(gamma)
-    if not (_is_real(rank_tol) and 0.0 < rank_tol < 1.0):
-        raise DataError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol!r}")
+    _check_rank_tol(rank_tol)
     slices = block_slices(cov.dims)
     diag, eigvals, ranks, maps = [], [], [], []
     for l, _, block, e in _diag_eigs(cov, gamma):
@@ -242,13 +246,18 @@ def fit(
     gamma: float = 0.0,
     k: int | None = None,
 ) -> MccaModel:
-    """Center ``data``, form covariance blocks, and fit with ``method``."""
+    """Center ``data``, form covariance blocks, and fit with ``method``.
+
+    The options are checked, on either route, before the covariance is built.
+    """
+    if method not in (TWO_STEP, ONE_STEP):
+        raise DataError(f"unknown method {method!r}; expected {TWO_STEP!r} or {ONE_STEP!r}")
+    _check_gamma(gamma)
+    _check_rank_tol(rank_tol)
     cov = covariance(data)
     if method == TWO_STEP:
         return fit_two_step(cov, rank_tol=rank_tol, gamma=gamma, k=k)
-    if method == ONE_STEP:
-        return fit_one_step(cov, gamma=gamma, k=k)
-    raise DataError(f"unknown method {method!r}; expected {TWO_STEP!r} or {ONE_STEP!r}")
+    return fit_one_step(cov, gamma=gamma, k=k)
 
 
 def stationarity_residual(cov: CovarianceBlocks, model: MccaModel, n: int) -> float:

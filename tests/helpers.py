@@ -5,6 +5,7 @@ literal double sums, and classical formulas, so agreement is evidence
 rather than tautology.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -51,6 +52,53 @@ def save_model_json_dump(model, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, allow_nan=False)
         fh.write("\n")
+
+
+def read_data_csv_whole(path):
+    """``read_data_csv`` converting the whole body in one ``np.array`` call.
+
+    The oracle for the batched reader: this is how data files were read
+    before, holding every record's text at once. Where conversion fails it
+    parses row by row to name the first bad line, with the same messages.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise mcca.DataError(f"{path}: no data rows")
+
+    def to_finite(rows):
+        try:
+            arr = np.array(rows, dtype=np.float64)
+        except ValueError:
+            return None
+        return arr if np.isfinite(arr).all() else None
+
+    body = rows if to_finite(rows[0][1]) is not None else rows[1:]
+    if not body:
+        raise mcca.DataError(f"{path}: header but no data rows")
+    if (arr := to_finite([row for _, row in body])) is not None:
+        return arr
+    width = len(body[0][1])
+    out = []
+    for line, row in body:
+        if len(row) != width:
+            raise mcca.DataError(f"{path}: line {line} has {len(row)} fields, expected {width}")
+        values = []
+        for j, text in enumerate(row):
+            try:
+                value = float(text)
+            except ValueError:
+                raise mcca.DataError(
+                    f"{path}: line {line}, column {j + 1}: {text!r} is not a number"
+                ) from None
+            if not np.isfinite(value):
+                raise mcca.DataError(
+                    f"{path}: line {line}, column {j + 1}: value {text!r} is not finite"
+                )
+            values.append(value)
+        out.append(values)
+    return np.array(out)
 
 
 def isc_literal(columns):

@@ -111,6 +111,13 @@ class TestFit:
         assert code == 2
         assert "cannot read" in err
 
+    def test_non_finite_first_row_exit_2(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("nan,1\n2,3\n4,5\n")
+        code, _, err = run_cli("fit", "--input", data, "--dims", "1,1", "--output", tmp_path / "m.json")
+        assert code == 2
+        assert "line 1, column 1: value 'nan' is not finite" in err
+
     def test_k_flag(self, tmp_path):
         rng = np.random.default_rng(1)
         data = tmp_path / "d.csv"

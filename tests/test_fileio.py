@@ -1,13 +1,19 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mcca
 import mcca.cli
-from helpers import random_instance, save_model_json_dump
+from helpers import random_instance, read_data_csv_whole, save_model_json_dump
 from mcca import (
     DataError,
     DimensionError,
@@ -114,6 +120,27 @@ class TestDataCsv:
         with pytest.raises(DataError, match=match):
             read_data_csv(path)
 
+    @pytest.mark.parametrize("header", [b"", b"a,b\r\n"], ids=["no-header", "header"])
+    def test_byte_order_mark_skipped(self, tmp_path, header):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + header + b"1.0,2.0\r\n3.0,4.0\r\n")
+        assert np.array_equal(read_data_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("nan,1\n2,3\n", r"line 1, column 1: value 'nan' is not finite"),
+            ("1,-inf\n2,3\n", r"line 1, column 2: value '-inf' is not finite"),
+            ("inf,nan\n", r"line 1, column 1: value 'inf' is not finite"),
+        ],
+    )
+    def test_non_finite_first_row_is_data(self, tmp_path, text, match):
+        # a header needs a field that is not a number; these are numbers
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=match):
+            read_data_csv(path)
+
     def test_header_mismatch_leaves_file_untouched(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("keep\n")
@@ -137,6 +164,107 @@ class TestDataCsv:
         text = path.read_text().splitlines()
         assert text[0] == "set1_comp1,set1_comp2,set2_comp1,set2_comp2"
         assert np.array_equal(read_data_csv(path), np.hstack([s1, s2]))
+
+
+NON_FINITE_FIELDS = ["nan", "inf", "-inf", "1e999", " NaN"]
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV text with at most one fault at any line, and a batch size in
+    fields that holds one to four rows.
+
+    The first record is a header of letters or a row of finite numbers, on
+    which the old and new header rules agree.
+    """
+    width = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 12))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[repr(draw(values)) for _ in range(width)] for _ in range(n_rows)]
+    fault = draw(st.sampled_from([None, "ragged", "wider tail", "not a number", "not finite"]))
+    header = draw(st.sampled_from([None, "plain", "spans lines"]))
+    if fault is not None:
+        first = 1 if fault == "not finite" and header is None else 0
+        i = draw(st.integers(min(first, n_rows - 1), n_rows - 1))
+        if fault == "ragged":
+            rows[i] = rows[i][:-1] if width > 1 and draw(st.booleans()) else rows[i] + ["1.0"]
+        elif fault == "wider tail":
+            rows[i:] = [row + ["2.0"] for row in rows[i:]]
+        elif i >= first:  # else the only row may not take this fault
+            token = "x" if fault == "not a number" else draw(st.sampled_from(NON_FINITE_FIELDS))
+            rows[i][draw(st.integers(0, width - 1))] = token
+    lines = [",".join(row) for row in rows]
+    names = [f"c{j}" for j in range(width)]
+    if header == "spans lines":
+        names[0] = '"first\ncolumn"'
+    if header is not None:
+        lines.insert(0, ",".join(names))
+    text = ""
+    for line in lines:
+        text += draw(st.sampled_from(["", "\n", "\r\n"]))  # a blank line, or none
+        text += line + draw(st.sampled_from(["\n", "\r\n"]))
+    return text, draw(st.integers(1, 4)) * width
+
+
+def read_outcome(reader, path):
+    try:
+        arr = reader(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return arr.shape, arr.dtype.str, arr.tobytes()
+
+
+class TestBatchedRead:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_files())
+    def test_matches_whole_file_reader(self, tmp_path, case):
+        text, batch_fields = case
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(mcca.fileio, "_BATCH_FIELDS", batch_fields):
+            got = read_outcome(read_data_csv, path)
+        assert got == read_outcome(read_data_csv_whole, path)
+
+    @pytest.fixture(scope="class")
+    def big_csv(self, tmp_path_factory):
+        """A 20000 x 32 data file and its array's size in bytes."""
+        path = tmp_path_factory.mktemp("big") / "d.csv"
+        arr = np.random.default_rng(9).standard_normal((20000, 32))
+        write_data_csv(path, arr)
+        return path, arr.nbytes
+
+    def test_peak_memory_near_the_array(self, big_csv):
+        path, nbytes = big_csv
+        tracemalloc.start()
+        try:
+            arr = read_data_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.nbytes == nbytes
+        assert peak < 2.5 * nbytes
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+    def test_fit_command_peak_rss(self, big_csv, tmp_path):
+        # The child reports the high-water mark of its own address space
+        # (VmHWM, in kB). Its ru_maxrss would not do: Linux carries the
+        # maximum across exec, so a child spawned from this test process
+        # reports at least this process's peak.
+        path, nbytes = big_csv
+        report = ("import sys; print(open('/proc/self/status').read()"
+                  ".split('VmHWM:')[1].split()[0], file=sys.stderr)")
+        fit = (f"import mcca.cli; assert mcca.cli.main(['fit', '--input', {str(path)!r}, "
+               f"'--dims', '16,16', '--output', {str(tmp_path / 'm.json')!r}]) == 0")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+        def child_kib(code):
+            proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"],
+                                  capture_output=True, text=True, env=env, check=True)
+            return int(proc.stderr.split()[-1])
+
+        rise = (child_kib(fit) - child_kib("import mcca.cli")) * 1024
+        assert rise < 5 * nbytes
 
 
 class TestModelFile:

@@ -437,6 +437,12 @@ class TestOptionTypes:
         with pytest.raises(DataError, match="rank_tol"):
             mcca.fit(data, rank_tol=value)
 
+    @pytest.mark.parametrize("value", ["x", None, 0, 1])
+    def test_one_step_checks_rank_tol(self, value):
+        data = random_instance(np.random.default_rng(19), (2, 2), 25)
+        with pytest.raises(DataError, match="rank_tol"):
+            mcca.fit(data, method="one-step", rank_tol=value)
+
     @pytest.mark.parametrize("method", ["two-step", "one-step"])
     def test_numpy_scalars_accepted(self, method):
         data = random_instance(np.random.default_rng(19), (2, 2), 25)
@@ -454,6 +460,15 @@ class TestFitFrontend:
         assert mcca.fit(data, method="one-step").method == "one-step"
         with pytest.raises(DataError):
             mcca.fit(data, method="magic")
+
+    @pytest.mark.parametrize("opt, value", [("method", "nope"), ("gamma", -1.0), ("rank_tol", 2.0)])
+    def test_options_checked_before_covariance(self, monkeypatch, opt, value):
+        def refuse(data):
+            raise AssertionError("covariance built before the options were checked")
+
+        monkeypatch.setattr(mcca.solver, "covariance", refuse)
+        with pytest.raises(DataError, match=opt):
+            mcca.fit(perfect_pair(), **{opt: value})
 
     def test_rho_empirical_stored(self):
         rng = np.random.default_rng(17)
