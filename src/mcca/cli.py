@@ -1,10 +1,11 @@
 """Command-line entry points: fit, transform, isc, synth.
 
 Data and tables go to standard output, diagnostics to standard error.
-Exit codes: 0 success, 2 malformed input or dimensions, 3 degenerate data
-(rank-deficient or zero-variance), 1 anything else. Column grouping is
-supplied with --dims (comma-separated per-set widths) since the CSV files
-carry no set structure.
+Exit codes: 0 success; 2 bad input: malformed or non-UTF-8 files, paths
+that cannot be read or written, dimension mismatches and invalid options;
+3 degenerate data (rank-deficient or zero-variance); 1 only for an
+unexpected error. Column grouping is supplied with --dims (comma-separated
+per-set widths) since the CSV files carry no set structure.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .data import block_slices, load
+from .data import _check_dims, block_slices, load
 from .errors import DataError, DegeneracyError, DimensionError
 from .metrics import Projections, isc, transform
 from .solver import DEFAULT_RANK_TOL, ONE_STEP, TWO_STEP, fit
@@ -27,21 +28,9 @@ EXIT_DEGENERATE = 3
 
 def _dims_arg(text: str) -> tuple:
     try:
-        dims = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"dimensions must be positive, got {text!r}")
-    return dims
-
-
-def _read_table(path: str) -> np.ndarray:
-    try:
-        return fileio.read_data_csv(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+        return _check_dims([int(part) for part in text.split(",")])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
 def _split_sets(arr: np.ndarray, dims: tuple, path: str) -> list:
@@ -54,7 +43,7 @@ def _split_sets(arr: np.ndarray, dims: tuple, path: str) -> list:
 
 
 def cmd_fit(args) -> int:
-    data = load(_split_sets(_read_table(args.input), args.dims, args.input))
+    data = load(_split_sets(fileio.read_data_csv(args.input), args.dims, args.input))
     model = fit(data, method=args.method, rank_tol=args.rank_tol, gamma=args.gamma, k=args.k)
     fileio.save_model(model, args.output)
     print("component       lambda rho_analytic rho_empirical")
@@ -67,27 +56,20 @@ def cmd_fit(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    try:
-        model = fileio.load_model(args.model)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.model}: {exc}") from None
-    arr = _read_table(args.input)
+    model = fileio.load_model(args.model)
     if args.dims != model.dims:
         raise DimensionError(
             f"--dims {','.join(map(str, args.dims))} does not match the model's "
             f"dims {','.join(map(str, model.dims))}"
         )
-    data = load(_split_sets(arr, args.dims, args.input))
+    data = load(_split_sets(fileio.read_data_csv(args.input), args.dims, args.input))
     proj = transform(model, data)
     fileio.write_projections_csv(args.output, proj.signals)
     return EXIT_OK
 
 
 def cmd_isc(args) -> int:
-    arr = _read_table(args.input)
-    sets = _split_sets(arr, args.dims, args.input)
-    if len(sets) < 2:
-        raise DimensionError("need at least 2 sets, give --dims at least 2 entries")
+    sets = _split_sets(fileio.read_data_csv(args.input), args.dims, args.input)
     if not 1 <= args.k <= min(args.dims):
         raise DimensionError(
             f"--k {args.k} out of range; every set has only "
@@ -182,7 +164,7 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -28,9 +28,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _is_real(x) -> bool:
     """A Python or numpy integer or float, but not a bool."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    return _is_int(x) or isinstance(x, (float, np.floating))
+
+
+def _check_dims(dims) -> tuple:
+    """``dims`` as a tuple of ints; DataError unless 2+ integer entries >= 1."""
+    dims = tuple(dims)
+    for l, d in enumerate(dims):
+        if not (_is_int(d) and d >= 1):
+            raise DataError(f"dims entry {l + 1} must be an integer >= 1, got {d!r}")
+    if len(dims) < 2:
+        raise DataError("need at least 2 data sets")
+    return tuple(map(int, dims))
 
 
 @dataclass(frozen=True)
@@ -165,7 +181,7 @@ def covariance(data: MultiSetData) -> CovarianceBlocks:
             np.subtract(block[a : a + rows], shift, out=chunk[:, sl])
         r += chunk.T @ chunk
     r = 0.5 * (r + r.T)
-    return _assemble(r, data.dims, means)
+    return CovarianceBlocks(R=_freeze(r), dims=data.dims, means=tuple(map(_freeze, means)))
 
 
 def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:
@@ -175,10 +191,8 @@ def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:
     from data, e.g. analytic test instances. ``r`` must be square with side
     ``sum(dims)`` and symmetric up to roundoff; ``means`` defaults to zeros.
     """
-    r = np.array(r, dtype=np.float64, order="C", copy=True)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise DimensionError(f"need at least 2 sets with positive dims, got {dims}")
+    r = np.asarray(r, dtype=np.float64)
+    dims = _check_dims(dims)
     total = sum(dims)
     if r.ndim != 2 or r.shape != (total, total):
         raise DimensionError(f"covariance must be {total}x{total}, got {r.shape}")
@@ -186,17 +200,8 @@ def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:
         raise DataError("covariance contains non-finite values")
     r = symmetrized(r, "covariance")
     if means is None:
-        means = tuple(np.zeros(d) for d in dims)
-    else:
-        means = tuple(np.asarray(m, dtype=np.float64).reshape(-1) for m in means)
-        if tuple(len(m) for m in means) != dims:
-            raise DimensionError("means do not match dims")
-    return _assemble(r, dims, means)
-
-
-def _assemble(r: np.ndarray, dims, means) -> CovarianceBlocks:
-    return CovarianceBlocks(
-        R=_freeze(r),
-        dims=tuple(dims),
-        means=tuple(_freeze(np.array(m, dtype=np.float64, copy=True)) for m in means),
-    )
+        means = [np.zeros(d) for d in dims]
+    means = tuple(_freeze(np.array(m, dtype=np.float64).reshape(-1)) for m in means)
+    if tuple(len(m) for m in means) != dims:
+        raise DimensionError("means do not match dims")
+    return CovarianceBlocks(R=_freeze(r), dims=dims, means=means)

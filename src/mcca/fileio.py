@@ -20,6 +20,7 @@ precision, after refusing any non-finite entry before it touches the file
 (NaN, stored as null since JSON has none, is legal only in rho_empirical).
 """
 
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -28,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .data import _freeze, block_slices
+from .data import _check_dims, _freeze, _is_int, _is_real, block_slices
 from .errors import DataError, DimensionError
 from .solver import MccaModel, RegularizationRecord
 
@@ -58,6 +59,16 @@ def _parse_row(row, path: str, line: int, width: int) -> list:
     return out
 
 
+@contextlib.contextmanager
+def _open_text(path: str, **kwargs):
+    """``open(path, **kwargs)`` to read text; bytes that do not decode raise DataError."""
+    with open(path, **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
 def _to_finite(rows) -> np.ndarray | None:
     """The rows as a float64 array; None if ragged, non-numeric or non-finite."""
     try:
@@ -81,9 +92,10 @@ def read_data_csv(path: str) -> np.ndarray:
     """Read a numeric CSV, skipping a header row if one is present.
 
     Returns a T x D float array. Ragged rows, non-numeric or non-finite data
-    fields, and empty files raise DataError naming the first offending line.
+    fields, and empty files raise DataError naming the first offending line;
+    a file that is not UTF-8 raises DataError naming the path.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_text(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         # line_num counts physical lines, so a quoted field spanning lines
         # does not shift the numbers of the records after it
@@ -190,24 +202,24 @@ def save_model(model: MccaModel, path: str) -> None:
         fh.write("\n")
 
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, path: str):
     if key not in doc:
-        raise DataError(f"model file: missing field {key!r}")
+        raise DataError(f"{path}: missing field {key!r}")
     return doc[key]
 
 
 def _is_number(x) -> bool:
     """A finite JSON number; the comparison is exact for huge integers too."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+    return _is_real(x) and abs(x) <= sys.float_info.max
 
 
 def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(type(d) is int for d in x)
+    return isinstance(x, list) and all(map(_is_int, x))
 
 
 def _typed(doc: dict, key: str, path: str, kind: str, ok):
     """``doc[key]``, or DataError naming the field unless ``ok(doc[key])``."""
-    value = _require(doc, key)
+    value = _require(doc, key, path)
     if not ok(value):
         raise DataError(f"{path}: {key} must be {kind}, got {value!r:.60}")
     return value
@@ -248,22 +260,24 @@ def _blocks_in(doc: dict, key: str, path: str, shapes: list) -> list:
 
 
 def load_model(path: str) -> MccaModel:
-    """Load a model file, validating schema, shapes and finiteness."""
-    with open(path, encoding="utf-8") as fh:
+    """Load a model file, validating encoding, schema, shapes and finiteness."""
+    with _open_text(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: model file must hold a JSON object")
-    version = _require(doc, "schema_version")
-    if type(version) is not int or version != SCHEMA_VERSION:
+    version = _require(doc, "schema_version", path)
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise DataError(
             f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
-    dims = tuple(_typed(doc, "dims", path, "a list of integers", _is_int_list))
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise DataError(f"{path}: invalid dims {dims}")
+    dims = _typed(doc, "dims", path, "a list of integers", _is_int_list)
+    try:
+        dims = _check_dims(dims)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     method = _typed(doc, "method", path, "a string", lambda v: isinstance(v, str))
     reg_doc = _typed(doc, "reg", path, "an object", lambda v: isinstance(v, dict))
     rank_tol = reg_doc.get("rank_tol")
@@ -274,17 +288,17 @@ def load_model(path: str) -> MccaModel:
         rank_tol=None if rank_tol is None else float(rank_tol),
         ranks=tuple(_typed(reg_doc, "ranks", path, "a list of integers", _is_int_list)),
     )
-    lam = _require(doc, "lambda")
+    lam = _require(doc, "lambda", path)
     k = len(lam) if isinstance(lam, list) else None  # None fails any shape check
     lambdas = _array_in(lam, f"{path}: lambda", (k,))
     return MccaModel(
         V=_freeze(np.vstack(_blocks_in(doc, "V", path, [(d, k) for d in dims]))),
         lambdas=lambdas,
         rho_analytic=_array_in(
-            _require(doc, "rho_analytic"), f"{path}: rho_analytic", (k,)
+            _require(doc, "rho_analytic", path), f"{path}: rho_analytic", (k,)
         ),
         rho_empirical=_array_in(
-            _require(doc, "rho_empirical"), f"{path}: rho_empirical", (k,), null_ok=True
+            _require(doc, "rho_empirical", path), f"{path}: rho_empirical", (k,), null_ok=True
         ),
         dims=dims,
         means=tuple(_blocks_in(doc, "means", path, [(d,) for d in dims])),

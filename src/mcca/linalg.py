@@ -20,7 +20,7 @@ EIG_IMAG_RTOL = 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a C-contiguous float64 2-D array with finite entries."""
+    """Coerce ``a`` to a C-contiguous float64 square matrix with finite entries."""
     arr = np.ascontiguousarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got {arr.ndim}-D")
@@ -28,6 +28,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be non-empty, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DataError(f"{name} contains non-finite entries")
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"{name} must be square, got {arr.shape[0]}x{arr.shape[1]}")
     return arr
 
 
@@ -75,9 +77,6 @@ def sym_eig(a, name: str = "matrix") -> SymEig:
     Output is deterministic for identical input bits.
     """
     a = as_matrix(a, name)
-    n, m = a.shape
-    if n != m:
-        raise DimensionError(f"{name} must be square, got {n}x{m}")
     w, q = np.linalg.eigh(symmetrized(a, name))
     # eigh returns ascending order
     values = np.ascontiguousarray(w[::-1])
@@ -101,11 +100,7 @@ def general_eig_real(a) -> tuple[np.ndarray, np.ndarray]:
     :class:`DegeneracyError`, which signals that the upstream block diagonal
     was not positive definite.
     """
-    a = as_matrix(a)
-    n, m = a.shape
-    if n != m:
-        raise DimensionError(f"matrix must be square, got {n}x{m}")
-    w, v = np.linalg.eig(a)
+    w, v = np.linalg.eig(as_matrix(a))
     scale = float(np.abs(w).max())
     worst = float(np.abs(w.imag).max())
     if worst > EIG_IMAG_RTOL * scale:

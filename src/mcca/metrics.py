@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import MultiSetData, block_slices
+from .data import MultiSetData, _is_int, block_slices
 from .errors import DimensionError, UndefinedIscError
 
 if TYPE_CHECKING:
@@ -84,6 +84,14 @@ def transform(model: "MccaModel", data: MultiSetData) -> Projections:
     return Projections(signals=tuple(signals))
 
 
+def _check_component(n, count: int) -> None:
+    """DimensionError unless ``n`` is an integer component index in [0, count)."""
+    if not (_is_int(n) and 0 <= n < count):
+        raise DimensionError(
+            f"component index must be an integer in [0, {count}), got {n!r}"
+        )
+
+
 def isc(proj: Projections, n: int) -> IscBreakdown:
     """ISC of component ``n`` (0-based), from the signals themselves.
 
@@ -91,10 +99,7 @@ def isc(proj: Projections, n: int) -> IscBreakdown:
     self-contained on held-out data. The between-set sum runs over ordered
     pairs (l, k), l != k, so each unordered pair contributes twice.
     """
-    if not 0 <= n < proj.n_components:
-        raise DimensionError(
-            f"component index {n} out of range for {proj.n_components} components"
-        )
+    _check_component(n, proj.n_components)
     y = np.column_stack([s[:, n] for s in proj.signals])
     n_sets = y.shape[1]
     yc = y - y.mean(axis=0)

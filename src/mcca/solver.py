@@ -26,7 +26,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .data import CovarianceBlocks, MultiSetData, _freeze, _is_real, block_slices, covariance
+from .data import CovarianceBlocks, MultiSetData, _freeze, _is_int, _is_real, block_slices, covariance
 from .errors import (
     DataError,
     DegeneracyError,
@@ -35,7 +35,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .linalg import fix_column_signs, general_eig_real, sym_eig
-from .metrics import _isc_columns
+from .metrics import _check_component, _isc_columns
 
 # Relative eigenvalue threshold below which a diagonal block counts as
 # singular for the one-step route.
@@ -118,6 +118,11 @@ def _check_gamma(gamma: float) -> None:
 def _check_rank_tol(rank_tol: float) -> None:
     if not (_is_real(rank_tol) and 0.0 < rank_tol < 1.0):
         raise DataError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol!r}")
+
+
+def _check_k(k) -> None:
+    if not (k is None or _is_int(k)):
+        raise DataError(f"k must be an integer, got {k!r}")
 
 
 def _diag_eigs(cov: CovarianceBlocks, gamma: float):
@@ -254,6 +259,7 @@ def fit(
         raise DataError(f"unknown method {method!r}; expected {TWO_STEP!r} or {ONE_STEP!r}")
     _check_gamma(gamma)
     _check_rank_tol(rank_tol)
+    _check_k(k)
     cov = covariance(data)
     if method == TWO_STEP:
         return fit_two_step(cov, rank_tol=rank_tol, gamma=gamma, k=k)
@@ -271,10 +277,7 @@ def stationarity_residual(cov: CovarianceBlocks, model: MccaModel, n: int) -> fl
     Returns its max-norm, normalized by the largest covariance entry and
     the vector's max-norm; near zero at a true solution.
     """
-    if not 0 <= n < model.n_components:
-        raise DimensionError(
-            f"component index {n} out of range for {model.n_components} components"
-        )
+    _check_component(n, model.n_components)
     if cov.dims != model.dims:
         raise DimensionError("covariance dims do not match model dims")
     gamma = model.reg.gamma
@@ -310,11 +313,9 @@ def _finish(
     _orthonormalize_ties(values, vectors, cov, reg.gamma)
     fix_column_signs(vectors)
 
+    _check_k(k)
     available = int(values.shape[0])
-    if k is None:
-        k = available
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DataError(f"k must be an integer, got {k!r}")
+    k = available if k is None else k
     if not 1 <= k <= available:
         raise DimensionError(
             f"requested {k} components but only {available} are available"

@@ -36,12 +36,11 @@ stream; all lanes then step together on numpy uint64 arrays. The scalar
 """
 
 import functools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultiSetData, _freeze, _is_real, load
+from .data import MultiSetData, _check_dims, _freeze, _is_int, _is_real, load
 from .errors import DataError
 from .metrics import transform
 
@@ -153,6 +152,8 @@ class Xoshiro256StarStar:
     """
 
     def __init__(self, seed: int):
+        if not _is_int(seed):
+            raise DataError(f"seed must be an integer, got {seed!r}")
         sm = _splitmix64(int(seed) & _MASK64)
         self._s = [next(sm) for _ in range(4)]
         if not any(self._s):
@@ -180,10 +181,9 @@ class Xoshiro256StarStar:
         Consumes ``2 * ceil(count / 2)`` outputs, the same values and the
         same state advance as that many ``uniform`` calls.
         """
-        count = operator.index(count)
-        if count < 0:
-            raise DataError(f"cannot draw {count} normal variates")
-        pairs = (count + 1) // 2
+        if not (_is_int(count) and count >= 0):
+            raise DataError(f"cannot draw {count!r} normal variates")
+        pairs = (int(count) + 1) // 2
         if pairs == 0:
             return np.empty(0)
         raw, self._s = _lane_draws(self._s, 2 * pairs)
@@ -208,16 +208,11 @@ class SynthSpec:
     mixing: tuple | None = field(default=None)
 
     def __post_init__(self):
-        named = [(name, getattr(self, name)) for name in ("seed", "n_exemplars", "n_components")]
-        for name, value in named + [(f"dims entry {l + 1}", d) for l, d in enumerate(self.dims)]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        for name in ("seed", "n_exemplars", "n_components"):
+            if not _is_int(value := getattr(self, name)):
                 raise DataError(f"{name} must be an integer, got {value!r}")
-        dims = tuple(int(d) for d in self.dims)
+        dims = _check_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        if len(dims) < 2:
-            raise DataError("need at least 2 data sets")
-        if any(d < 1 for d in dims):
-            raise DataError(f"set dimensions must be >= 1, got {dims}")
         if self.n_exemplars < 2:
             raise DataError(f"need at least 2 exemplars, got {self.n_exemplars}")
         if not 1 <= self.n_components <= min(dims):

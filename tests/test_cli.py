@@ -109,7 +109,22 @@ class TestFit:
             "--output", tmp_path / "m.json",
         )
         assert code == 2
-        assert "cannot read" in err
+        assert str(tmp_path / "nope.csv") in err and "No such file" in err
+
+    def test_unwritable_output_exit_2(self, tmp_path):
+        data = tmp_path / "d.csv"
+        write_perfect_pair(data)
+        out = tmp_path / "no-such-dir" / "m.json"
+        code, _, err = run_cli("fit", "--input", data, "--dims", "1,1", "--output", out)
+        assert code == 2
+        assert str(out) in err
+
+    def test_dims_rule_exit_2(self, tmp_path):
+        code, _, err = run_cli(
+            "fit", "--input", tmp_path / "d.csv", "--dims", "0,2", "--output", tmp_path / "m.json"
+        )
+        assert code == 2
+        assert "dims entry 1 must be an integer >= 1, got 0" in err
 
     def test_non_finite_first_row_exit_2(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -204,6 +219,27 @@ class TestTransform:
         assert "V block 1" in err
         assert not out_csv.exists()
 
+
+    def test_unwritable_output_exit_2(self, tmp_path, fitted):
+        data, model_path, _ = fitted
+        out = tmp_path / "no-such-dir" / "p.csv"
+        code, _, err = run_cli(
+            "transform", "--input", data, "--dims", "2,3", "--model", model_path, "--output", out,
+        )
+        assert code == 2
+        assert str(out) in err
+
+    @pytest.mark.parametrize("bad", ["data", "model"])
+    def test_not_utf8_names_the_file_exit_2(self, tmp_path, fitted, bad):
+        data, model_path, _ = fitted
+        path = data if bad == "data" else model_path
+        path.write_bytes(path.read_bytes() + b"\xff")
+        code, _, err = run_cli(
+            "transform", "--input", data, "--dims", "2,3",
+            "--model", model_path, "--output", tmp_path / "p.csv",
+        )
+        assert code == 2
+        assert f"{path}: not valid UTF-8" in err
 
     @pytest.mark.parametrize(
         "key, value", [("V", 5), ("reg", []), ("dims", ["a", 1]), ("means", 3.0)]
@@ -306,6 +342,17 @@ class TestSynth:
         )
         assert code == 2
         assert "component" in err
+
+    @pytest.mark.parametrize("flag", ["--output", "--latents"])
+    def test_unwritable_path_exit_2(self, tmp_path, flag):
+        paths = {"--output": tmp_path / "d.csv", "--latents": tmp_path / "l.csv"}
+        paths[flag] = tmp_path / "no-such-dir" / "x.csv"
+        code, _, err = run_cli(
+            "synth", "--dims", "2,2", "--t", 10,
+            "--output", paths["--output"], "--latents", paths["--latents"],
+        )
+        assert code == 2
+        assert str(paths[flag]) in err
 
     def test_n_must_match_dims(self, tmp_path):
         code, _, _ = run_cli(

@@ -227,6 +227,20 @@ class TestCovarianceFromMatrix:
         with pytest.raises(DimensionError):
             covariance_from_matrix(np.eye(3), (2, 2))
 
+    @pytest.mark.parametrize(
+        "dims, match",
+        [
+            ((2.7, 2), "dims entry 1 must be an integer >= 1, got 2.7"),
+            ((True, 3), "dims entry 1 must be an integer >= 1, got True"),
+            (("2", 2), "dims entry 1 must be an integer >= 1, got '2'"),
+            ((0, 4), "dims entry 1 must be an integer >= 1, got 0"),
+            ((4,), "need at least 2 data sets"),
+        ],
+    )
+    def test_dims_rule(self, dims, match):
+        with pytest.raises(DataError, match=match):
+            covariance_from_matrix(np.eye(4), dims)
+
     def test_asymmetric_rejected(self):
         r = np.eye(2)
         r[0, 1] = 0.5

@@ -141,6 +141,14 @@ class TestDataCsv:
         with pytest.raises(DataError, match=match):
             read_data_csv(path)
 
+    @pytest.mark.parametrize("lines_before", [0, 20000])
+    def test_not_utf8_names_path(self, tmp_path, lines_before):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"1,2\n" * lines_before + b"3,\xff\n")
+        with pytest.raises(DataError, match="not valid UTF-8") as exc:
+            read_data_csv(path)
+        assert str(path) in str(exc.value)
+
     def test_header_mismatch_leaves_file_untouched(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("keep\n")
@@ -343,6 +351,17 @@ class TestModelFile:
         with pytest.raises(DataError, match="lambda"):
             load_model(path)
 
+    @pytest.mark.parametrize("key", ["schema_version", "lambda", "rho_empirical"])
+    def test_missing_field_names_path(self, tmp_path, key):
+        path = tmp_path / "m.json"
+        save_model(self.make_model(), path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"missing field '{key}'") as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_block_shape_mismatch(self, tmp_path):
         path = tmp_path / "m.json"
         save_model(self.make_model(), path)
@@ -357,6 +376,28 @@ class TestModelFile:
         path.write_text("{not json")
         with pytest.raises(DataError, match="JSON"):
             load_model(path)
+
+    def test_not_utf8_names_path(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(self.make_model(), path)
+        path.write_bytes(path.read_bytes().replace(b'"two-step"', b'"two-step\xe9"'))
+        with pytest.raises(DataError, match="not valid UTF-8") as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "dims, match",
+        [([2], "need at least 2 data sets"), ([0, 3], "dims entry 1 must be an integer >= 1, got 0")],
+    )
+    def test_dims_rule_names_path(self, tmp_path, dims, match):
+        path = tmp_path / "m.json"
+        save_model(self.make_model(), path)
+        doc = json.loads(path.read_text())
+        doc["dims"] = dims
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=match) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
 
     def write_with_entry(self, path, where, token):
         """Save a model, then put the raw JSON ``token`` at ``doc[where...]``."""

@@ -123,6 +123,17 @@ class TestIsc:
         with pytest.raises(DimensionError):
             isc(Projections((y, y.copy())), 2)
 
+    @pytest.mark.parametrize("n", [0.5, 1.0, True, -1, 2])
+    def test_component_index_must_be_an_integer_in_range(self, n):
+        y = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(DimensionError, match=r"component index must be an integer in \[0, 2\)"):
+            isc(Projections((y, -y)), n)
+
+    def test_numpy_integer_component_index(self):
+        y = np.arange(6.0).reshape(3, 2)
+        proj = Projections((y, -y))
+        assert isc(proj, np.int64(1)) == isc(proj, 1)
+
     def test_recenters_by_own_means(self):
         rng = np.random.default_rng(3)
         y1 = rng.standard_normal((8, 1))

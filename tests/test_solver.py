@@ -366,6 +366,19 @@ class TestStationarityResidual:
         with pytest.raises(DimensionError):
             stationarity_residual(cov, model, 5)
 
+    @pytest.mark.parametrize("n", [0.5, 1.0, True, -1, 2])
+    def test_index_must_be_an_integer_in_range(self, n):
+        cov = covariance(perfect_pair())
+        model = fit_two_step(cov)
+        assert model.n_components == 2
+        with pytest.raises(DimensionError, match=r"component index must be an integer in \[0, 2\)"):
+            stationarity_residual(cov, model, n)
+
+    def test_numpy_integer_index(self):
+        cov = covariance(perfect_pair())
+        model = fit_two_step(cov)
+        assert stationarity_residual(cov, model, np.int64(1)) == stationarity_residual(cov, model, 1)
+
 
 def constant_set_instance():
     """Sets of 3 and 2 noise columns plus a set of 2 constant columns."""
@@ -461,7 +474,10 @@ class TestFitFrontend:
         with pytest.raises(DataError):
             mcca.fit(data, method="magic")
 
-    @pytest.mark.parametrize("opt, value", [("method", "nope"), ("gamma", -1.0), ("rank_tol", 2.0)])
+    @pytest.mark.parametrize(
+        "opt, value",
+        [("method", "nope"), ("gamma", -1.0), ("rank_tol", 2.0), ("k", 2.5), ("k", True)],
+    )
     def test_options_checked_before_covariance(self, monkeypatch, opt, value):
         def refuse(data):
             raise AssertionError("covariance built before the options were checked")

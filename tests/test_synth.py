@@ -131,6 +131,16 @@ class TestPrng:
         with pytest.raises(DataError):
             Xoshiro256StarStar(1).normals(-1)
 
+    @pytest.mark.parametrize("count", [2.0, True, "2"])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(DataError, match="normal variates"):
+            Xoshiro256StarStar(1).normals(count)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(DataError, match="seed must be an integer"):
+            Xoshiro256StarStar(seed)
+
     def test_normal_moments(self):
         z = Xoshiro256StarStar(2024).normals(100000)
         assert abs(z.mean()) < 0.02
