@@ -71,10 +71,7 @@ def cmd_transform(args) -> int:
 def cmd_isc(args) -> int:
     sets = _split_sets(fileio.read_data_csv(args.input), args.dims, args.input)
     if not 1 <= args.k <= min(args.dims):
-        raise DimensionError(
-            f"--k {args.k} out of range; every set has only "
-            f"{min(args.dims)} column(s)"
-        )
+        raise DimensionError(f"--k must lie in [1, {min(args.dims)}], got {args.k}")
     signals = tuple(s[:, args.k - 1 : args.k] for s in sets)
     breakdown = isc(Projections(signals), 0)
     print(f"r_between {breakdown.r_between!r}")

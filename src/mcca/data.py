@@ -13,7 +13,7 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .linalg import symmetrized
+from .linalg import as_matrix, symmetrized
 
 _CHUNK_BYTES = 8 << 20  # see `covariance`
 
@@ -40,7 +40,10 @@ def _is_real(x) -> bool:
 
 def _check_dims(dims) -> tuple:
     """``dims`` as a tuple of ints; DataError unless 2+ integer entries >= 1."""
-    dims = tuple(dims)
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise DataError(f"dims must be a sequence of integers, got {dims!r}") from None
     for l, d in enumerate(dims):
         if not (_is_int(d) and d >= 1):
             raise DataError(f"dims entry {l + 1} must be an integer >= 1, got {d!r}")
@@ -191,14 +194,11 @@ def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:
     from data, e.g. analytic test instances. ``r`` must be square with side
     ``sum(dims)`` and symmetric up to roundoff; ``means`` defaults to zeros.
     """
-    r = np.asarray(r, dtype=np.float64)
     dims = _check_dims(dims)
+    r = symmetrized(as_matrix(r, "covariance"), "covariance")
     total = sum(dims)
-    if r.ndim != 2 or r.shape != (total, total):
+    if r.shape != (total, total):
         raise DimensionError(f"covariance must be {total}x{total}, got {r.shape}")
-    if not np.isfinite(r).all():
-        raise DataError("covariance contains non-finite values")
-    r = symmetrized(r, "covariance")
     if means is None:
         means = [np.zeros(d) for d in dims]
     means = tuple(_freeze(np.array(m, dtype=np.float64).reshape(-1)) for m in means)

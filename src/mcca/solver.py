@@ -123,6 +123,8 @@ def _check_rank_tol(rank_tol: float) -> None:
 def _check_k(k) -> None:
     if not (k is None or _is_int(k)):
         raise DataError(f"k must be an integer, got {k!r}")
+    if k is not None and k < 1:
+        raise DimensionError(f"k must be at least 1, got {k}")
 
 
 def _diag_eigs(cov: CovarianceBlocks, gamma: float):
@@ -199,6 +201,7 @@ def fit_two_step(
     -------
     MccaModel
     """
+    _check_k(k)
     wb = whiten(cov, rank_tol=rank_tol, gamma=gamma)
     e = sym_eig(wb.rtilde, name="whitened covariance")
     total = int(e.values.shape[0])
@@ -225,6 +228,7 @@ def fit_one_step(
     cross-check of :func:`fit_two_step`.
     """
     _check_gamma(gamma)
+    _check_k(k)
     r_reg = cov.R + gamma * np.eye(cov.total_dim)
     m = np.empty_like(r_reg)
     for l, sl, _, e in _diag_eigs(cov, gamma):
@@ -313,10 +317,9 @@ def _finish(
     _orthonormalize_ties(values, vectors, cov, reg.gamma)
     fix_column_signs(vectors)
 
-    _check_k(k)
     available = int(values.shape[0])
     k = available if k is None else k
-    if not 1 <= k <= available:
+    if k > available:
         raise DimensionError(
             f"requested {k} components but only {available} are available"
         )

@@ -27,12 +27,12 @@ even when sigma = 0, so changing snr under a fixed seed rescales the very
 same realizations.
 
 ``normals`` computes its draws lane-parallel, bit-identical to the scalar
-definition. The xoshiro256** state transition is linear over GF(2)
-(Blackman & Vigna, "Scrambled Linear Pseudorandom Number Generators",
-arXiv:1805.01407), so the 256 x 256 bit matrices of 2**j steps, built once
-by repeated squaring, give the start states of contiguous lanes of the
-stream; all lanes then step together on numpy uint64 arrays. The scalar
-``next_u64`` and ``uniform`` are the reference the tests compare against.
+definition (one output per step, kept with the tests as their reference).
+The xoshiro256** state transition is linear over GF(2) (Blackman & Vigna,
+"Scrambled Linear Pseudorandom Number Generators", arXiv:1805.01407), so
+the 256 x 256 bit matrices of 2**j steps, built once by repeated squaring,
+give the start states of contiguous lanes of the stream; all lanes then
+step together on numpy uint64 arrays.
 """
 
 import functools
@@ -59,20 +59,19 @@ def _splitmix64(state: int):
         yield z ^ (z >> 31)
 
 
-def _rotl(x, k: int):
-    """Rotate 64-bit words left by ``k``: a Python int or a uint64 array."""
-    return ((x << k) | (x >> (64 - k))) & _MASK64
+def _rotl(x: np.ndarray, k: int) -> np.ndarray:
+    """Rotate the words of a uint64 array left by ``k``."""
+    return (x << k) | (x >> (64 - k))
 
 
-def _step_lanes(s: np.ndarray, out: np.ndarray | None = None) -> None:
+def _step_lanes(s: np.ndarray, out: np.ndarray) -> None:
     """Advance every lane of the 4 x L uint64 state ``s`` one step, in place.
 
-    Where ``out`` is given, the lanes' xoshiro256** outputs (from the state
-    before the step) are written to it.
+    The lanes' xoshiro256** outputs, from the state before the step, are
+    written to ``out``.
     """
     s0, s1, s2, s3 = s
-    if out is not None:
-        np.multiply(_rotl(s1 * 5, 7), 9, out=out)
+    np.multiply(_rotl(s1 * 5, 7), 9, out=out)
     t = s1 << 17
     s2 ^= s0
     s3 ^= s1
@@ -105,7 +104,7 @@ def _jump_matrix(j: int) -> np.ndarray:
     """
     if j == 0:
         unit = _from_bits(np.eye(256, dtype=np.float32))
-        _step_lanes(unit)
+        _step_lanes(unit, np.empty(256, dtype=np.uint64))
         out = _to_bits(unit)
     else:
         half = _jump_matrix(j - 1)
@@ -147,39 +146,22 @@ class Xoshiro256StarStar:
     """Portable 64-bit PRNG (xoshiro256**), state seeded via splitmix64.
 
     The integer stream is exact across platforms; uniforms take the top
-    53 bits of each output. ``next_u64`` and ``uniform`` are the scalar
-    definition; ``normals`` computes the same stream lane-parallel.
+    53 bits of each output. ``normals`` computes the stream lane-parallel.
     """
 
     def __init__(self, seed: int):
         if not _is_int(seed):
             raise DataError(f"seed must be an integer, got {seed!r}")
+        # splitmix64 maps four distinct states through a bijection, so at
+        # most one of the four words is 0: no seed gives the all-zero state
         sm = _splitmix64(int(seed) & _MASK64)
         self._s = [next(sm) for _ in range(4)]
-        if not any(self._s):
-            self._s[0] = 1
-
-    def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
-
-    def uniform(self) -> float:
-        # top 53 bits give a double in [0, 1)
-        return (self.next_u64() >> 11) * _TWO_POW_M53
 
     def normals(self, count: int) -> np.ndarray:
         """Draw ``count`` standard normals by pairwise Box-Muller.
 
-        Consumes ``2 * ceil(count / 2)`` outputs, the same values and the
-        same state advance as that many ``uniform`` calls.
+        Consumes ``2 * ceil(count / 2)`` outputs of the stream, one uniform
+        from each.
         """
         if not (_is_int(count) and count >= 0):
             raise DataError(f"cannot draw {count!r} normal variates")

@@ -295,6 +295,36 @@ def recovery_score_loops(result, model):
     return scores
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _rotl64(x, k):
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def next_u64(rng):
+    """The next xoshiro256** output of ``rng``, stepping ``rng._s`` in place.
+
+    The generator's scalar definition on Python ints (Blackman & Vigna,
+    arXiv:1805.01407): the oracle for the library's lane-parallel step.
+    """
+    s = rng._s
+    result = (_rotl64((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
+    t = (s[1] << 17) & _MASK64
+    s[2] ^= s[0]
+    s[3] ^= s[1]
+    s[1] ^= s[2]
+    s[0] ^= s[3]
+    s[2] ^= t
+    s[3] = _rotl64(s[3], 45)
+    return result
+
+
+def uniform(rng):
+    """The next uniform of ``rng`` in [0, 1): the top 53 bits of one output."""
+    return (next_u64(rng) >> 11) * 2.0**-53
+
+
 def normals_scalar(rng, count):
     """``rng.normals(count)`` by Box-Muller over one scalar ``uniform`` call per draw.
 
@@ -302,7 +332,7 @@ def normals_scalar(rng, count):
     lane-parallel ``normals``.
     """
     pairs = (count + 1) // 2
-    u = np.array([rng.uniform() for _ in range(2 * pairs)])
+    u = np.array([uniform(rng) for _ in range(2 * pairs)])
     radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
     angle = 2.0 * np.pi * u[1::2]
     z = np.empty(2 * pairs)

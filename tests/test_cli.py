@@ -311,6 +311,13 @@ class TestIsc:
         code, _, _ = run_cli("isc", "--input", data, "--dims", "1,1", "--k", "2")
         assert code == 2
 
+    def test_k_zero_names_range(self, tmp_path):
+        data = tmp_path / "p.csv"
+        write_data_csv(data, np.random.default_rng(4).standard_normal((5, 4)))
+        code, _, err = run_cli("isc", "--input", data, "--dims", "2,2", "--k", "0")
+        assert code == 2
+        assert "--k must lie in [1, 2], got 0" in err
+
     def test_locale_independent_output(self, tmp_path):
         data = tmp_path / "p.csv"
         write_data_csv(data, np.array([[1.0, 1.0], [2.0, 3.0], [3.0, 2.0]]))

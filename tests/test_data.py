@@ -235,11 +235,17 @@ class TestCovarianceFromMatrix:
             (("2", 2), "dims entry 1 must be an integer >= 1, got '2'"),
             ((0, 4), "dims entry 1 must be an integer >= 1, got 0"),
             ((4,), "need at least 2 data sets"),
+            (4, "dims must be a sequence of integers, got 4"),
+            (None, "dims must be a sequence of integers, got None"),
         ],
     )
     def test_dims_rule(self, dims, match):
         with pytest.raises(DataError, match=match):
             covariance_from_matrix(np.eye(4), dims)
+
+    def test_non_square_refused_before_dims_comparison(self):
+        with pytest.raises(DimensionError, match="covariance must be square, got 4x3"):
+            covariance_from_matrix(np.ones((4, 3)), (2, 2))
 
     def test_asymmetric_rejected(self):
         r = np.eye(2)

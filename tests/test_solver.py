@@ -486,6 +486,27 @@ class TestFitFrontend:
         with pytest.raises(DataError, match=opt):
             mcca.fit(perfect_pair(), **{opt: value})
 
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_checked_before_covariance(self, monkeypatch, method, k):
+        def refuse(data):
+            raise AssertionError("covariance built before k was checked")
+
+        monkeypatch.setattr(mcca.solver, "covariance", refuse)
+        with pytest.raises(DimensionError, match=f"k must be at least 1, got {k}"):
+            mcca.fit(perfect_pair(), method=method, k=k)
+
+    @pytest.mark.parametrize("route", [fit_two_step, fit_one_step])
+    def test_k_below_one_checked_before_eigensolve(self, monkeypatch, route):
+        cov = covariance(perfect_pair())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve run before k was checked")
+
+        monkeypatch.setattr(mcca.solver, "sym_eig", refuse)
+        with pytest.raises(DimensionError, match="k must be at least 1, got 0"):
+            route(cov, k=0)
+
     def test_rho_empirical_stored(self):
         rng = np.random.default_rng(17)
         data = random_instance(rng, (2, 2), 25)

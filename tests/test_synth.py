@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import mcca
-from helpers import normals_scalar, recovery_score_loops
+from helpers import next_u64, normals_scalar, recovery_score_loops, uniform
 from mcca import DataError, Projections, SynthSpec, generate, isc, recovery_score
-from mcca.synth import Xoshiro256StarStar, _splitmix64
+from mcca.synth import Xoshiro256StarStar, _lane_draws, _splitmix64
 
 # Published reference outputs of splitmix64 for state 0.
 SPLITMIX64_SEED0 = (
@@ -17,6 +17,12 @@ SPLITMIX64_SEED0 = (
     0x06C45D188009454F,
     0xF88BB8A8724C81EC,
 )
+
+# The first five xoshiro256** outputs from the state (1, 2, 3, 4), by the
+# generator's definition. By hand: rotl(5 * 2, 7) * 9 = 11520; the step
+# gives s1 = s1 ^ s2 ^ s0 = 2 ^ 3 ^ 1 = 0, so the second output is 0; the next
+# step gives s1 = 2**18 + 5, so the third is rotl(5 * s1, 7) * 9 = 1509978240.
+XOSHIRO_1234 = (11520, 0, 1509978240, 1215971899390074240, 1216172134540287360)
 
 
 # SHA-256 of the little-endian float64 bytes of every set in order, then of
@@ -58,22 +64,29 @@ class TestPrng:
         sm = _splitmix64(0)
         assert tuple(next(sm) for _ in range(4)) == SPLITMIX64_SEED0
 
+    def test_xoshiro_reference_values(self):
+        raw, _ = _lane_draws([1, 2, 3, 4], 5)
+        assert raw.tolist() == list(XOSHIRO_1234)
+        oracle = Xoshiro256StarStar(0)
+        oracle._s = [1, 2, 3, 4]
+        assert tuple(next_u64(oracle) for _ in range(5)) == XOSHIRO_1234
+
     def test_uniforms_in_unit_interval(self):
         rng = Xoshiro256StarStar(123)
-        u = [rng.uniform() for _ in range(1000)]
+        u = [uniform(rng) for _ in range(1000)]
         assert all(0.0 <= x < 1.0 for x in u)
 
     def test_stream_is_seed_dependent(self):
         a = Xoshiro256StarStar(1)
         b = Xoshiro256StarStar(2)
-        assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
+        assert [next_u64(a) for _ in range(4)] != [next_u64(b) for _ in range(4)]
 
     def test_box_muller_convention(self):
         # recompute the first four normals from the raw uniform stream
         # with the documented transform
         draws = Xoshiro256StarStar(99).normals(4)
         stream = Xoshiro256StarStar(99)
-        u = [stream.uniform() for _ in range(4)]
+        u = [uniform(stream) for _ in range(4)]
         expect = []
         for u1, u2 in ((u[0], u[1]), (u[2], u[3])):
             r = math.sqrt(-2.0 * math.log1p(-u1))
@@ -101,9 +114,9 @@ class TestPrng:
         assert lanes._s == scalar._s
 
     def test_lanes_from_sparse_state(self):
-        # No seed reaches the all-zero fix: splitmix64 maps four distinct
+        # No seed reaches a state this sparse: splitmix64 maps four distinct
         # consecutive states through a bijection, so at most one of the four
-        # words is 0. Its result, the state (1, 0, 0, 0), is set directly.
+        # words is 0. The state (1, 0, 0, 0) is set directly.
         lanes = Xoshiro256StarStar(0)
         scalar = Xoshiro256StarStar(0)
         lanes._s = [1, 0, 0, 0]
@@ -120,7 +133,7 @@ class TestPrng:
         assert np.array_equal(second, normals_scalar(oracle, 5))
         stream = Xoshiro256StarStar(31)
         for _ in range(10):
-            stream.next_u64()
+            next_u64(stream)
         assert rng._s == stream._s == oracle._s
 
     def test_numpy_integer_count(self):
@@ -185,6 +198,11 @@ class TestSynthSpec:
     def test_non_integer_dims_named(self, value):
         with pytest.raises(DataError, match="dims entry 2"):
             SynthSpec(seed=1, dims=(2, value), n_exemplars=10, n_components=1)
+
+    @pytest.mark.parametrize("value", [4, None])
+    def test_non_iterable_dims_refused(self, value):
+        with pytest.raises(DataError, match="dims must be a sequence of integers"):
+            SynthSpec(seed=1, dims=value, n_exemplars=10, n_components=1)
 
     def test_numpy_integer_sizes_accepted(self):
         plain = generate(SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1))
