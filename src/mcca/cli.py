@@ -33,17 +33,18 @@ def _dims_arg(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
-def _split_sets(arr: np.ndarray, dims: tuple, path: str) -> list:
-    if sum(dims) != arr.shape[1]:
+def _read_sets(args) -> list:
+    arr = fileio.read_data_csv(args.input)
+    if sum(args.dims) != arr.shape[1]:
         raise DimensionError(
-            f"{path}: --dims {','.join(map(str, dims))} sums to {sum(dims)} "
+            f"{args.input}: --dims {','.join(map(str, args.dims))} sums to {sum(args.dims)} "
             f"but the file has {arr.shape[1]} columns"
         )
-    return [arr[:, sl] for sl in block_slices(dims)]
+    return [arr[:, sl] for sl in block_slices(args.dims)]
 
 
 def cmd_fit(args) -> int:
-    data = load(_split_sets(fileio.read_data_csv(args.input), args.dims, args.input))
+    data = load(_read_sets(args))
     model = fit(data, method=args.method, rank_tol=args.rank_tol, gamma=args.gamma, k=args.k)
     fileio.save_model(model, args.output)
     print("component       lambda rho_analytic rho_empirical")
@@ -62,14 +63,14 @@ def cmd_transform(args) -> int:
             f"--dims {','.join(map(str, args.dims))} does not match the model's "
             f"dims {','.join(map(str, model.dims))}"
         )
-    data = load(_split_sets(fileio.read_data_csv(args.input), args.dims, args.input))
+    data = load(_read_sets(args))
     proj = transform(model, data)
     fileio.write_projections_csv(args.output, proj.signals)
     return EXIT_OK
 
 
 def cmd_isc(args) -> int:
-    sets = _split_sets(fileio.read_data_csv(args.input), args.dims, args.input)
+    sets = _read_sets(args)
     if not 1 <= args.k <= min(args.dims):
         raise DimensionError(f"--k must lie in [1, {min(args.dims)}], got {args.k}")
     signals = tuple(s[:, args.k - 1 : args.k] for s in sets)
@@ -158,15 +159,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DegeneracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
+        if isinstance(exc, DegeneracyError):
+            return EXIT_DEGENERATE
+        return EXIT_USAGE if isinstance(exc, (ValueError, OSError)) else EXIT_OTHER
 
 
 if __name__ == "__main__":

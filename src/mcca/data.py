@@ -13,7 +13,7 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .linalg import as_matrix, symmetrized
+from .linalg import as_array, as_matrix, symmetrized
 
 _CHUNK_BYTES = 8 << 20  # see `covariance`
 
@@ -38,12 +38,17 @@ def _is_real(x) -> bool:
     return _is_int(x) or isinstance(x, (float, np.floating))
 
 
+def _sequence(x, name: str, kind: str) -> tuple:
+    """``tuple(x)``; DataError naming ``name`` if ``x`` is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise DataError(f"{name} must be a sequence of {kind}, got {x!r}") from None
+
+
 def _check_dims(dims) -> tuple:
     """``dims`` as a tuple of ints; DataError unless 2+ integer entries >= 1."""
-    try:
-        dims = tuple(dims)
-    except TypeError:
-        raise DataError(f"dims must be a sequence of integers, got {dims!r}") from None
+    dims = _sequence(dims, "dims", "integers")
     for l, d in enumerate(dims):
         if not (_is_int(d) and d >= 1):
             raise DataError(f"dims entry {l + 1} must be an integer >= 1, got {d!r}")
@@ -96,24 +101,18 @@ def load(sets) -> MultiSetData:
     if len(blocks) < 2:
         raise DimensionError(f"need at least 2 data sets, got {len(blocks)}")
     out = []
-    t = None
     for l, block in enumerate(blocks):
-        arr = np.array(block, dtype=np.float64, order="C", copy=True)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.ndim != 2 or arr.shape[1] < 1:
-            raise DimensionError(f"data set {l + 1} must be a T x d matrix with d >= 1")
-        if t is None:
-            t = arr.shape[0]
-        elif arr.shape[0] != t:
-            raise DimensionError(
-                f"data set {l + 1} has {arr.shape[0]} exemplars, expected {t}"
-            )
-        if not np.isfinite(arr).all():
-            raise DataError(f"data set {l + 1} contains non-finite values")
+        name = f"data set {l + 1}"
+        try:  # load's one copy; as_array copies nothing more
+            arr = np.array(block, dtype=np.float64, order="C", copy=True)
+        except (TypeError, ValueError, OverflowError):
+            arr = as_array(block, name, 2)  # fails alike, with a DataError naming the set
+        arr = as_array(arr.reshape(-1, 1) if arr.ndim == 1 else arr, name, 2)
+        if out and arr.shape[0] != out[0].shape[0]:
+            raise DimensionError(f"{name} has {arr.shape[0]} exemplars, expected {out[0].shape[0]}")
         out.append(_freeze(arr))
-    if t < 2:
-        raise DimensionError(f"need at least 2 exemplars, got {t}")
+    if out[0].shape[0] < 2:
+        raise DimensionError(f"need at least 2 exemplars, got {out[0].shape[0]}")
     return MultiSetData(sets=tuple(out), means=None)
 
 
@@ -199,9 +198,10 @@ def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:
     total = sum(dims)
     if r.shape != (total, total):
         raise DimensionError(f"covariance must be {total}x{total}, got {r.shape}")
-    if means is None:
-        means = [np.zeros(d) for d in dims]
-    means = tuple(_freeze(np.array(m, dtype=np.float64).reshape(-1)) for m in means)
+    means = _sequence([np.zeros(d) for d in dims] if means is None else means, "means", "vectors")
+    means = tuple(
+        _freeze(as_array(m, f"means of set {l + 1}", 1).copy()) for l, m in enumerate(means)
+    )
     if tuple(len(m) for m in means) != dims:
         raise DimensionError("means do not match dims")
     return CovarianceBlocks(R=_freeze(r), dims=dims, means=means)

@@ -24,18 +24,7 @@ class RankDeficiencyError(DegeneracyError):
 
 
 class DegenerateSetError(DegeneracyError):
-    """One data set carries no usable variance at all.
-
-    ``set_number`` is 1-based, matching the numbering used in reports.
-    """
-
-    def __init__(self, set_number: int, n_sets: int, detail: str = ""):
-        self.set_number = set_number
-        self.n_sets = n_sets
-        msg = f"data set {set_number} of {n_sets} is degenerate"
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)
+    """One data set carries no usable variance at all."""
 
 
 class UndefinedIscError(DegeneracyError):

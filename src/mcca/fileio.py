@@ -31,6 +31,7 @@ import numpy as np
 
 from .data import _check_dims, _freeze, _is_int, _is_real, block_slices
 from .errors import DataError, DimensionError
+from .linalg import as_array
 from .solver import MccaModel, RegularizationRecord
 
 SCHEMA_VERSION = 1
@@ -120,10 +121,11 @@ def read_data_csv(path: str) -> np.ndarray:
 
 
 def write_data_csv(path: str, array: np.ndarray, header: list | None = None) -> None:
-    """Write a T x D array as CSV, floats via repr for exact round-trips."""
-    arr = np.asarray(array, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-D array, got shape {arr.shape}")
+    """Write a T x D array as CSV, floats via repr for exact round-trips.
+
+    An array read_data_csv would refuse raises before ``path`` is opened.
+    """
+    arr = as_array(array, f"{path}: array", 2)
     if header is not None and len(header) != arr.shape[1]:
         raise DimensionError(
             f"header has {len(header)} names for {arr.shape[1]} columns"
@@ -135,18 +137,9 @@ def write_data_csv(path: str, array: np.ndarray, header: list | None = None) -> 
         writer.writerows(row.tolist() for row in arr)
 
 
-def projection_header(n_sets: int, n_components: int) -> list:
-    """Set-major column names: set1_comp1, set1_comp2, ..., set2_comp1, ..."""
-    return [
-        f"set{l + 1}_comp{n + 1}"
-        for l in range(n_sets)
-        for n in range(n_components)
-    ]
-
-
 def write_projections_csv(path: str, signals: tuple) -> None:
-    """Write per-set component signals set-major with a naming header."""
-    header = projection_header(len(signals), signals[0].shape[1])
+    """Write per-set component signals set-major, headed set1_comp1, set1_comp2, ..."""
+    header = [f"set{l + 1}_comp{n + 1}" for l, s in enumerate(signals) for n in range(s.shape[1])]
     write_data_csv(path, np.hstack(signals), header=header)
 
 

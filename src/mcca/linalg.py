@@ -19,15 +19,28 @@ SYMMETRY_RTOL = 1e-10
 EIG_IMAG_RTOL = 1e-8
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a C-contiguous float64 square matrix with finite entries."""
-    arr = np.ascontiguousarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got {arr.ndim}-D")
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
+def as_array(a, name: str, ndim: int) -> np.ndarray:
+    """``a`` as a non-empty, finite, C-contiguous float64 array of ``ndim`` dimensions.
+
+    Copies only to convert. Errors name ``name``: DataError for an entry that
+    does not convert or is not finite, DimensionError for the shape.
+    """
+    try:
+        arr = np.asarray(a, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{name} is not a numeric array ({exc})") from None
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got {arr.ndim}-D")
+    if arr.size == 0:
         raise DimensionError(f"{name} must be non-empty, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DataError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """:func:`as_array` of a square matrix."""
+    arr = as_array(a, name, 2)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{name} must be square, got {arr.shape[0]}x{arr.shape[1]}")
     return arr

@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import MultiSetData, _is_int, block_slices
 from .errors import DimensionError, UndefinedIscError
+from .linalg import as_array
 
 if TYPE_CHECKING:
     from .solver import MccaModel
@@ -28,21 +29,16 @@ VARIANCE_FLOOR_REL = 1e-12
 
 @dataclass(frozen=True)
 class Projections:
-    """Per-set component signals: one T x K block per data set."""
+    """Per-set component signals: one T x K block per data set; only shapes are checked."""
 
     signals: tuple
 
     def __post_init__(self):
-        shapes = {s.shape for s in self.signals}
-        if len(self.signals) < 2 or len(shapes) != 1:
+        shapes = [s.shape for s in self.signals]
+        if len(shapes) < 2 or len(set(shapes)) != 1 or len(shapes[0]) != 2:
             raise DimensionError(
-                f"projections need >= 2 sets with a common T x K shape, got "
-                f"{[s.shape for s in self.signals]}"
+                f"projections need >= 2 sets with a common T x K shape, got {shapes}"
             )
-
-    @property
-    def n_sets(self) -> int:
-        return len(self.signals)
 
     @property
     def n_components(self) -> int:
@@ -101,6 +97,7 @@ def isc(proj: Projections, n: int) -> IscBreakdown:
     """
     _check_component(n, proj.n_components)
     y = np.column_stack([s[:, n] for s in proj.signals])
+    y = as_array(y, f"signal block of component {n}", 2)
     n_sets = y.shape[1]
     yc = y - y.mean(axis=0)
     gram = yc.T @ yc
@@ -157,13 +154,11 @@ def isc_from_cov(cov, v) -> IscBreakdown:
     to the projected signals. This is :func:`_isc_columns` on a single
     column, with its sums scaled back to ``v``.
     """
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    v = as_array(v, "projection vector", 1)
     if v.shape[0] != cov.total_dim:
         raise DimensionError(
             f"projection vector has length {v.shape[0]}, expected {cov.total_dim}"
         )
-    if not np.isfinite(v).all():
-        raise UndefinedIscError("projection vector contains non-finite values")
     parts, exp = _isc_columns(cov, v.reshape(-1, 1))
     if np.isnan(parts.rho[0]):
         raise UndefinedIscError("projected within-set variance is zero; ISC undefined")

@@ -90,10 +90,6 @@ class MccaModel:
     def n_components(self) -> int:
         return int(self.lambdas.shape[0])
 
-    @property
-    def n_sets(self) -> int:
-        return len(self.dims)
-
 
 @dataclass(frozen=True)
 class WhitenedBasis:
@@ -127,11 +123,10 @@ def _check_k(k) -> None:
         raise DimensionError(f"k must be at least 1, got {k}")
 
 
-def _diag_eigs(cov: CovarianceBlocks, gamma: float):
-    """Yield ``(l, slice, R_ll + gamma I, sym_eig of that block)`` per set l."""
-    for l, sl in enumerate(block_slices(cov.dims)):
-        block = cov.R[sl, sl] + gamma * np.eye(cov.dims[l])
-        yield l, sl, block, sym_eig(block, name=f"diagonal block of set {l + 1}")
+def _diag_eigs(r: np.ndarray, dims: tuple):
+    """Yield ``(l, slice, sym_eig of the diagonal block of r)`` per set l."""
+    for l, sl in enumerate(block_slices(dims)):
+        yield l, sl, sym_eig(r[sl, sl], name=f"diagonal block of set {l + 1}")
 
 
 def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: float = 0.0) -> WhitenedBasis:
@@ -144,16 +139,15 @@ def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: flo
     _check_gamma(gamma)
     _check_rank_tol(rank_tol)
     slices = block_slices(cov.dims)
-    diag, eigvals, ranks, maps = [], [], [], []
-    for l, _, block, e in _diag_eigs(cov, gamma):
-        diag.append(block)
+    r_reg = cov.R + gamma * np.eye(cov.total_dim)
+    eigvals, ranks, maps = [], [], []
+    for l, _, e in _diag_eigs(r_reg, cov.dims):
+        degenerate = f"data set {l + 1} of {cov.n_sets} is degenerate"
         if e.values[0] <= 0.0:
-            raise DegenerateSetError(l + 1, cov.n_sets, "its covariance block is zero")
+            raise DegenerateSetError(f"{degenerate}: its covariance block is zero")
         r = int(np.count_nonzero(e.values > rank_tol * e.values[0]))
         if r == 0:
-            raise DegenerateSetError(
-                l + 1, cov.n_sets, "all variance falls below the rank tolerance"
-            )
+            raise DegenerateSetError(f"{degenerate}: all variance falls below the rank tolerance")
         eigvals.append(e.values)
         ranks.append(r)
         maps.append(e.vectors[:, :r] / np.sqrt(e.values[:r]))
@@ -162,9 +156,8 @@ def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: flo
     # rtilde = M'(R + gamma I)M for the block diagonal M of the maps, one
     # set at a time: first the columns of (R + gamma I)M, then M's rows.
     half = np.empty((cov.total_dim, total))
-    for sk, wk, mk, dk in zip(slices, wslices, maps, diag):
-        half[:, wk] = cov.R[:, sk] @ mk
-        half[sk, wk] = dk @ mk
+    for sk, wk, mk in zip(slices, wslices, maps):
+        half[:, wk] = r_reg[:, sk] @ mk
     rtilde = np.empty((total, total))
     for sl, wl, ml in zip(slices, wslices, maps):
         rtilde[wl, :] = ml.T @ half[sl, :]
@@ -231,7 +224,7 @@ def fit_one_step(
     _check_k(k)
     r_reg = cov.R + gamma * np.eye(cov.total_dim)
     m = np.empty_like(r_reg)
-    for l, sl, _, e in _diag_eigs(cov, gamma):
+    for l, sl, e in _diag_eigs(r_reg, cov.dims):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             inverse = (e.vectors / e.values) @ e.vectors.T
         singular = e.values[0] <= 0.0 or e.values[-1] <= PD_RTOL * e.values[0]

@@ -40,8 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultiSetData, _check_dims, _freeze, _is_int, _is_real, load
+from .data import MultiSetData, _check_dims, _freeze, _is_int, _is_real, _sequence, load
 from .errors import DataError
+from .linalg import as_array
 from .metrics import transform
 
 _MASK64 = (1 << 64) - 1
@@ -205,25 +206,17 @@ class SynthSpec:
         if not (_is_real(self.snr) and self.snr >= 0.0):
             raise DataError(f"snr must be a number >= 0, got {self.snr!r}")
         if self.mixing is not None:
-            if len(self.mixing) != len(dims):
+            mixing = _sequence(self.mixing, "mixing", "matrices")
+            if len(mixing) != len(dims):
                 raise DataError("one mixing matrix per set is required")
             frozen = []
-            for l, a in enumerate(self.mixing):
-                arr = np.array(a, dtype=np.float64)
-                want = (dims[l], self.n_components)
+            for l, a in enumerate(mixing):
+                name, want = f"mixing matrix for set {l + 1}", (dims[l], self.n_components)
+                arr = as_array(a, name, 2)
                 if arr.shape != want:
-                    raise DataError(
-                        f"mixing matrix for set {l + 1} has shape {arr.shape}, "
-                        f"expected {want}"
-                    )
-                if not np.all(np.isfinite(arr)):
-                    raise DataError(f"mixing matrix for set {l + 1} is not finite")
-                frozen.append(_freeze(arr))
+                    raise DataError(f"{name} has shape {arr.shape}, expected {want}")
+                frozen.append(_freeze(arr.copy()))  # the caller's array stays writable
             object.__setattr__(self, "mixing", tuple(frozen))
-
-    @property
-    def n_sets(self) -> int:
-        return len(self.dims)
 
     @property
     def sigma(self) -> float:
@@ -246,7 +239,6 @@ class SynthResult:
     latents: np.ndarray
     mixing: tuple
     unmixing: tuple
-    sigma: float
 
 
 def generate(spec: SynthSpec) -> SynthResult:
@@ -255,7 +247,6 @@ def generate(spec: SynthSpec) -> SynthResult:
     t, k = spec.n_exemplars, spec.n_components
     latents = rng.normals(t * k).reshape(t, k)
     signal_on = 0.0 if spec.snr == 0.0 else 1.0
-    sigma = spec.sigma
     sets, mixing = [], []
     for l, d in enumerate(spec.dims):
         if spec.mixing is None:
@@ -267,14 +258,13 @@ def generate(spec: SynthSpec) -> SynthResult:
         else:
             a = spec.mixing[l]
         noise = rng.normals(t * d).reshape(t, d)
-        sets.append(signal_on * (latents @ a.T) + sigma * noise)
+        sets.append(signal_on * (latents @ a.T) + spec.sigma * noise)
         mixing.append(a)
     return SynthResult(
         data=load(sets),
         latents=_freeze(latents),
         mixing=tuple(_freeze(np.array(a)) for a in mixing),
         unmixing=tuple(_freeze(np.linalg.pinv(a)) for a in mixing),
-        sigma=float(sigma),
     )
 
 

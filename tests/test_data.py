@@ -57,6 +57,32 @@ class TestLoad:
         with pytest.raises(DimensionError):
             load([np.ones((1, 2)), np.ones((1, 2))])
 
+    def test_one_copy(self):
+        # load keeps one private copy of each set; a second copy of any set
+        # would push the traced peak to 1.5 times the input's bytes
+        sets = [np.ones((20000, 64)), np.zeros((20000, 64))]
+        tracemalloc.start()
+        try:
+            load(sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * sum(s.nbytes for s in sets)
+
+    @pytest.mark.parametrize(
+        "block, error, match",
+        [
+            ([["a"], ["b"], ["c"]], DataError, "data set 2 is not a numeric array"),
+            ([[1.0], [2.0, 3.0], [4.0]], DataError, "data set 2 is not a numeric array"),
+            (np.ones((3, 2, 1)), DimensionError, "data set 2 must be 2-D, got 3-D"),
+            (np.ones((3, 0)), DimensionError, r"data set 2 must be non-empty, got shape \(3, 0\)"),
+            ([1.0, np.nan, 2.0], DataError, "data set 2 contains non-finite entries"),
+        ],
+    )
+    def test_array_rule_names_the_set(self, block, error, match):
+        with pytest.raises(error, match=match):
+            load([np.ones((3, 1)), block])
+
     def test_copies_and_freezes(self):
         src = np.ones((3, 2))
         data = load([src, np.zeros((3, 1))])
@@ -253,6 +279,21 @@ class TestCovarianceFromMatrix:
         # the same check and message as sym_eig
         with pytest.raises(DataError, match="covariance is not symmetric: max asymmetry 5.000e-01"):
             covariance_from_matrix(r, (1, 1))
+
+    def test_non_finite_means_rejected(self):
+        with pytest.raises(DataError, match="means of set 1 contains non-finite entries"):
+            covariance_from_matrix(np.eye(4) + 0.5, (2, 2), means=[[np.nan, 0], [0, 0]])
+
+    @pytest.mark.parametrize("means", [5, 2.5])
+    def test_non_iterable_means_named(self, means):
+        with pytest.raises(DataError, match="means must be a sequence of vectors"):
+            covariance_from_matrix(np.eye(4) + 0.5, (2, 2), means=means)
+
+    def test_means_not_aliased(self):
+        mu = np.array([1.0, 2.0])
+        cov = covariance_from_matrix(np.eye(4), (2, 2), means=[mu, mu])
+        mu[0] = 7.0
+        assert mu.flags.writeable and cov.means[0][0] == 1.0
 
     def test_non_finite_rejected(self):
         r = np.eye(2)

@@ -22,7 +22,7 @@ from mcca import (
     save_model,
     write_data_csv,
 )
-from mcca.fileio import projection_header, write_projections_csv
+from mcca.fileio import write_projections_csv
 
 
 class TestDataCsv:
@@ -156,13 +156,24 @@ class TestDataCsv:
             write_data_csv(path, np.zeros((3, 2)), header=["a"])
         assert path.read_text() == "keep\n"
 
-    def test_projection_header_layout(self):
-        assert projection_header(2, 2) == [
-            "set1_comp1",
-            "set1_comp2",
-            "set2_comp1",
-            "set2_comp2",
-        ]
+    @pytest.mark.parametrize(
+        "array, error, match",
+        [
+            ([[1.0, np.nan], [2.0, 3.0]], DataError, "array contains non-finite entries"),
+            (np.zeros((0, 3)), DimensionError, r"array must be non-empty, got shape \(0, 3\)"),
+            (np.zeros(3), DimensionError, "array must be 2-D, got 1-D"),
+        ],
+    )
+    def test_unreadable_array_refused_before_open(self, tmp_path, array, error, match):
+        # each of these would write a file that read_data_csv refuses
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"1.0,2.0\r\n")
+        with pytest.raises(error, match=match):
+            write_data_csv(path, array)
+        assert path.read_bytes() == b"1.0,2.0\r\n"
+        with pytest.raises(error, match=match):
+            write_data_csv(tmp_path / "new.csv", array)
+        assert not (tmp_path / "new.csv").exists()
 
     def test_projections_csv(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import mcca
 from helpers import isc_literal
 from mcca import (
+    DataError,
     DimensionError,
     MccaModel,
     Projections,
@@ -113,6 +114,19 @@ class TestIsc:
             assert abs(out.r_within - rw) <= 1e-10 * rw
             assert abs(out.rho - rho) <= 1e-10
 
+    def test_one_dimensional_signals_rejected(self):
+        with pytest.raises(DimensionError, match="common T x K shape"):
+            isc(Projections((np.ones(5), np.arange(5.0))), 0)
+
+    def test_non_finite_signals_rejected(self):
+        y = np.arange(10.0).reshape(5, 2)
+        z = -y
+        z[2, 1] = np.nan
+        proj = Projections((y, z))
+        assert np.isfinite(isc(proj, 0).rho)
+        with pytest.raises(DataError, match="signal block of component 1 contains non-finite entries"):
+            isc(proj, 1)
+
     def test_constant_signals_rejected(self):
         y = np.ones((4, 1))
         with pytest.raises(UndefinedIscError):
@@ -211,6 +225,11 @@ class TestIscFromCov:
         cov = mcca.covariance_from_matrix(np.eye(3), (1, 2))
         with pytest.raises(DimensionError):
             isc_from_cov(cov, np.ones(4))
+
+    def test_non_finite_vector_is_a_data_error(self):
+        cov = mcca.covariance_from_matrix(np.eye(4) + 0.5, (2, 2))
+        with pytest.raises(DataError, match="projection vector contains non-finite entries"):
+            isc_from_cov(cov, [np.nan, 0.0, 0.0, 1.0])
 
     def test_zero_vector_rejected(self):
         cov = mcca.covariance_from_matrix(np.eye(3), (1, 2))

@@ -227,6 +227,28 @@ class TestSynthSpec:
                 mixing=(np.ones((2, 1)), np.ones((3, 1))),
             )
 
+    def test_non_numeric_mixing_named(self):
+        with pytest.raises(DataError, match="mixing matrix for set 1 is not a numeric array"):
+            SynthSpec(
+                seed=1, dims=(2, 2), n_exemplars=10, n_components=1, mixing=(["a", "b"], [1, 2])
+            )
+
+    def test_non_finite_mixing_named(self):
+        bad = np.array([[1.0], [np.inf]])
+        with pytest.raises(DataError, match="mixing matrix for set 2 contains non-finite entries"):
+            SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1, mixing=(np.ones((2, 1)), bad))
+
+    @pytest.mark.parametrize("value", [5, 2.5])
+    def test_non_iterable_mixing_named(self, value):
+        with pytest.raises(DataError, match="mixing must be a sequence of matrices"):
+            SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1, mixing=value)
+
+    def test_mixing_not_aliased(self):
+        a = np.ones((2, 1))
+        spec = SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1, mixing=(a, a))
+        a[0, 0] = 3.0
+        assert a.flags.writeable and spec.mixing[0][0, 0] == 1.0
+
     def test_sigma_conventions(self):
         base = dict(seed=0, dims=(2, 2), n_exemplars=10, n_components=1)
         assert SynthSpec(snr=np.inf, **base).sigma == 0.0
