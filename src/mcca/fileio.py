@@ -6,7 +6,8 @@ CLI's --dims flag). A first row is a header when one of its fields does not
 convert to a number; a first row of numbers, finite or not, is data. A
 leading UTF-8 byte order mark is skipped. Floats are written with repr and
 parsed as float() parses them, so they round-trip exactly and '.' is the
-decimal separator in any locale.
+decimal separator in any locale. Body rows are written as joined reprs
+ended by '\r\n', the bytes csv.writer writes for floats, one row at a time.
 
 read_data_csv converts the records in batches of at most _BATCH_FIELDS
 fields and concatenates the batches' arrays, so beside the T x D result it
@@ -131,10 +132,9 @@ def write_data_csv(path: str, array: np.ndarray, header: list | None = None) -> 
             f"header has {len(header)} names for {arr.shape[1]} columns"
         )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow(header)
-        writer.writerows(row.tolist() for row in arr)
+            csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in arr)
 
 
 def write_projections_csv(path: str, signals: tuple) -> None:

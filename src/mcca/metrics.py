@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import MultiSetData, _is_int, block_slices
-from .errors import DimensionError, UndefinedIscError
+from .errors import DataError, DimensionError, UndefinedIscError
 from .linalg import as_array
 
 if TYPE_CHECKING:
@@ -29,12 +29,19 @@ VARIANCE_FLOOR_REL = 1e-12
 
 @dataclass(frozen=True)
 class Projections:
-    """Per-set component signals: one T x K block per data set; only shapes are checked."""
+    """Per-set component signals: one T x K float64 block per data set; only shapes are checked."""
 
     signals: tuple
 
     def __post_init__(self):
-        shapes = [s.shape for s in self.signals]
+        signals = []
+        for l, s in enumerate(self.signals):
+            try:
+                signals.append(np.asarray(s, dtype=np.float64))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DataError(f"signals of set {l + 1} are not a numeric array ({exc})") from None
+        object.__setattr__(self, "signals", tuple(signals))
+        shapes = [s.shape for s in signals]
         if len(shapes) < 2 or len(set(shapes)) != 1 or len(shapes[0]) != 2:
             raise DimensionError(
                 f"projections need >= 2 sets with a common T x K shape, got {shapes}"

@@ -94,6 +94,12 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
 
 
+def _mod2(x: np.ndarray) -> np.ndarray:
+    """``x`` mod 2 in place, for exact integers 0 to 256 (uint8 would overflow)."""
+    x[...] = x.astype(np.uint16) & 1
+    return x
+
+
 @functools.cache
 def _jump_matrix(j: int) -> np.ndarray:
     """The 256 x 256 GF(2) matrix of 2**j steps, as 0/1 float32.
@@ -109,7 +115,7 @@ def _jump_matrix(j: int) -> np.ndarray:
         out = _to_bits(unit)
     else:
         half = _jump_matrix(j - 1)
-        out = np.fmod(half @ half, 2.0)
+        out = _mod2(half @ half)
     out.setflags(write=False)
     return out
 
@@ -131,7 +137,7 @@ def _lane_draws(state: list, n: int) -> tuple:
     j = p
     while len(starts) < lanes:
         jumped = starts[: lanes - len(starts)] @ _jump_matrix(j)
-        starts = np.vstack([starts, np.fmod(jumped, 2.0, out=jumped)])
+        starts = np.vstack([starts, _mod2(jumped)])
         j += 1
     s = _from_bits(starts)
     out = np.empty((steps, lanes), dtype=np.uint64)

@@ -54,6 +54,20 @@ def save_model_json_dump(model, path):
         fh.write("\n")
 
 
+def write_data_csv_csvwriter(path, array, header=None):
+    """``write_data_csv``'s file written wholly by ``csv.writer``.
+
+    The byte oracle for the joined-repr body: this is how data files were
+    written before, and the files must not change. Takes a float64 array
+    that ``write_data_csv`` accepts.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(row.tolist() for row in np.asarray(array, dtype=np.float64))
+
+
 def read_data_csv_whole(path):
     """``read_data_csv`` converting the whole body in one ``np.array`` call.
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -417,3 +418,40 @@ class TestPipeline:
         code, out, err = run_cli("isc", "--input", proj, "--dims", f"{k},{k}", "--k", 1)
         assert code == 0, err
         assert abs(parse_isc(out)["rho"] - doc["rho_empirical"][0]) <= 1e-9
+
+
+# SHA-256 of the CLI's text output: the synth files below and the README's
+# projections; speed work on the writer or the generator must keep them
+SYNTH_SHA256 = {
+    "data": "2e9e882f3913bf35bdad68a67273fc8bd1054319c5a2df698b4c5e6a97a3e71a",
+    "latents": "c813ce31a828453967879ab2fceaf1c4f02d17b8d72dfaebe7e704ce7ccefa35",
+}
+README_PROJ_SHA256 = "8dc4c036ebbb92a34e5a8d2c37156d176fdb50c921e8388df3fa2920ea55b755"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestOutputBytes:
+    def test_synth_files(self, tmp_path):
+        data, latents = tmp_path / "d.csv", tmp_path / "l.csv"
+        code, _, err = run_cli(
+            "synth", "--seed", 911, "--dims", "16,16,16,16", "--t", 600, "--k", 2,
+            "--snr", 4, "--output", data, "--latents", latents,
+        )
+        assert code == 0, err
+        assert {"data": sha256(data), "latents": sha256(latents)} == SYNTH_SHA256
+
+    def test_readme_projections(self, tmp_path):
+        data, model, proj = tmp_path / "demo.csv", tmp_path / "model.json", tmp_path / "proj.csv"
+        dims = ("--dims", "4,4,4")
+        for args in (
+            ("synth", "--seed", 7, "--n", 3, *dims, "--t", 2000, "--k", 2, "--snr", 10,
+             "--output", data),
+            ("fit", "--input", data, *dims, "--k", 3, "--output", model),
+            ("transform", "--input", data, *dims, "--model", model, "--output", proj),
+        ):
+            code, _, err = run_cli(*args)
+            assert code == 0, err
+        assert sha256(proj) == README_PROJ_SHA256

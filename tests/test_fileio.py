@@ -10,10 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mcca
 import mcca.cli
-from helpers import random_instance, read_data_csv_whole, save_model_json_dump
+from helpers import (
+    random_instance,
+    read_data_csv_whole,
+    save_model_json_dump,
+    write_data_csv_csvwriter,
+)
 from mcca import (
     DataError,
     DimensionError,
@@ -183,6 +189,54 @@ class TestDataCsv:
         text = path.read_text().splitlines()
         assert text[0] == "set1_comp1,set1_comp2,set2_comp1,set2_comp2"
         assert np.array_equal(read_data_csv(path), np.hstack([s1, s2]))
+
+
+# repr switches to exponent form below 1e-4 and from 1e16 on; both sides of
+# each switch, the signed zeros and the smallest subnormal
+REPR_EDGES = [
+    x
+    for edge in (1e16, 1e-4)
+    for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+] + [0.0, 5e-324, 2.0**53, 2.0**53 + 2.0]
+csv_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(REPR_EDGES + [-x for x in REPR_EDGES]).map(float),
+    st.integers(-(2**60), 2**60).map(float),
+)
+header_names = st.one_of(
+    st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\rlf", "", " pad "]),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=6),
+)
+
+
+@st.composite
+def data_csv_cases(draw):
+    """A finite float64 array and a header for it, or None."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    arr = draw(hnp.arrays(np.float64, shape, elements=csv_values))
+    header = draw(st.none() | st.lists(header_names, min_size=shape[1], max_size=shape[1]))
+    return arr, header
+
+
+class TestJoinedReprWrite:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=data_csv_cases())
+    def test_same_bytes_as_csv_writer(self, tmp_path, case):
+        arr, header = case
+        write_data_csv(tmp_path / "new.csv", arr, header=header)
+        write_data_csv_csvwriter(tmp_path / "old.csv", arr, header=header)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_quoted_header_and_edges_same_bytes(self, tmp_path):
+        arr = np.array([REPR_EDGES, [-x for x in REPR_EDGES]])
+        header = ["a,b", 'say "hi"', "two\nlines"] + [f"c{j}" for j in range(arr.shape[1] - 3)]
+        write_data_csv(tmp_path / "new.csv", arr, header=header)
+        write_data_csv_csvwriter(tmp_path / "old.csv", arr, header=header)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.startswith(b'"a,b","say ""hi""","two\nlines",c0,')
+        assert b"-0.0," in new and b",1e+16," in new and b",0.0001," in new
 
 
 NON_FINITE_FIELDS = ["nan", "inf", "-inf", "1e999", " NaN"]

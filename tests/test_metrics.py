@@ -118,6 +118,25 @@ class TestIsc:
         with pytest.raises(DimensionError, match="common T x K shape"):
             isc(Projections((np.ones(5), np.arange(5.0))), 0)
 
+    def test_list_signals_score_as_arrays(self):
+        y1 = [[1.0, 0.5], [2.0, -1.0], [4.0, 3.0]]
+        y2 = [[1.0, 2.0], [3.0, 0.0], [4.5, 1.0]]
+        lists = Projections((y1, y2))
+        arrays = Projections((np.array(y1), np.array(y2)))
+        for n in (0, 1):
+            assert isc(lists, n) == isc(arrays, n)
+
+    def test_array_signals_kept_without_copy(self):
+        y = np.arange(6.0).reshape(3, 2)
+        z = -y
+        proj = Projections((y, z))
+        assert proj.signals[0] is y and proj.signals[1] is z
+
+    @pytest.mark.parametrize("bad", ["abc", [["a"], ["b"]], [[1.0], [2.0, 3.0]], [[{}], [1.0]]])
+    def test_unconvertible_signals_name_the_set(self, bad):
+        with pytest.raises(DataError, match="signals of set 2 are not a numeric array"):
+            Projections(([[1.0], [2.0]], bad))
+
     def test_non_finite_signals_rejected(self):
         y = np.arange(10.0).reshape(5, 2)
         z = -y
