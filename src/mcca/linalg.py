@@ -19,16 +19,21 @@ SYMMETRY_RTOL = 1e-10
 EIG_IMAG_RTOL = 1e-8
 
 
+def to_float64(a, name: str, order: str = "K") -> np.ndarray:
+    """``a`` as float64 in order ``order``, copied only to convert; DataError names ``name``."""
+    try:
+        return np.asarray(a, dtype=np.float64, order=order)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{name} is not a numeric array ({exc})") from None
+
+
 def as_array(a, name: str, ndim: int) -> np.ndarray:
     """``a`` as a non-empty, finite, C-contiguous float64 array of ``ndim`` dimensions.
 
     Copies only to convert. Errors name ``name``: DataError for an entry that
     does not convert or is not finite, DimensionError for the shape.
     """
-    try:
-        arr = np.asarray(a, dtype=np.float64, order="C")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{name} is not a numeric array ({exc})") from None
+    arr = to_float64(a, name, order="C")
     if arr.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-D, got {arr.ndim}-D")
     if arr.size == 0:

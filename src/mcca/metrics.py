@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import MultiSetData, _is_int, block_slices
-from .errors import DataError, DimensionError, UndefinedIscError
-from .linalg import as_array
+from .errors import DimensionError, UndefinedIscError
+from .linalg import as_array, to_float64
 
 if TYPE_CHECKING:
     from .solver import MccaModel
@@ -34,13 +34,10 @@ class Projections:
     signals: tuple
 
     def __post_init__(self):
-        signals = []
-        for l, s in enumerate(self.signals):
-            try:
-                signals.append(np.asarray(s, dtype=np.float64))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DataError(f"signals of set {l + 1} are not a numeric array ({exc})") from None
-        object.__setattr__(self, "signals", tuple(signals))
+        signals = tuple(
+            to_float64(s, f"signal block of set {l + 1}") for l, s in enumerate(self.signals)
+        )
+        object.__setattr__(self, "signals", signals)
         shapes = [s.shape for s in signals]
         if len(shapes) < 2 or len(set(shapes)) != 1 or len(shapes[0]) != 2:
             raise DimensionError(

@@ -134,7 +134,7 @@ class TestIsc:
 
     @pytest.mark.parametrize("bad", ["abc", [["a"], ["b"]], [[1.0], [2.0, 3.0]], [[{}], [1.0]]])
     def test_unconvertible_signals_name_the_set(self, bad):
-        with pytest.raises(DataError, match="signals of set 2 are not a numeric array"):
+        with pytest.raises(DataError, match="signal block of set 2 is not a numeric array"):
             Projections(([[1.0], [2.0]], bad))
 
     def test_non_finite_signals_rejected(self):

@@ -1,37 +1,40 @@
 """Peak resident memory of each shipped ``mcca`` command, one child each.
 
-Usage: python tools/cli_peaks.py [--t T] [--seed SEED]
+Usage: python tools/cli_peaks.py
 
-Runs ``synth``, ``fit``, ``fit --method one-step``, ``transform`` and ``isc``
-at the benchmark's ``cli`` shape (4 sets x 16 features, 2 planted
-components, snr 4, ``fit --k 3``) with T exemplars, in a temporary
-directory, with one BLAS thread. Each command runs in its own child Python
-process, which calls ``mcca.cli.main`` and then prints the VmHWM line of
-its own /proc/self/status: that process's peak resident set. A parent's
-RUSAGE_CHILDREN figure cannot give it, since Linux carries ``ru_maxrss``
-across fork and exec.
+Runs the benchmark's ``cli`` round (``bench/workloads.py``: its ``CLI``
+shape and ``CliWorkload.e2e_round``, seed 1) in a temporary directory,
+with one BLAS thread: ``synth``, ``fit``, ``fit --method one-step``,
+``transform``, and ``isc`` once per component. Each command runs in its own
+child Python process, which calls ``mcca.cli.main`` and then writes the
+VmHWM line of its own /proc/self/status to stderr: that process's peak
+resident set. A parent's RUSAGE_CHILDREN figure cannot give it, since Linux
+carries ``ru_maxrss`` across fork and exec.
 
 Prints one row per command: VmHWM in kB as the kernel reports it (KiB),
 and in MB (1e6 bytes), the unit of the benchmark's ``peak_rss_mb``.
-Linux only; ``mcca`` is imported from this checkout's src/. Only the
-standard library is used.
+Linux only; ``mcca`` is imported from this checkout's src/.
 """
 
 import argparse
-import os
 import pathlib
 import subprocess
 import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402  (bench/ is not a package)
+
+SEED = 1
 
 CHILD = """
 import sys
 from mcca.cli import main
 code = main(sys.argv[1:])
 with open("/proc/self/status") as fh:
-    print(next(line for line in fh if line.startswith("VmHWM:")), end="")
+    print(next(line for line in fh if line.startswith("VmHWM:")), end="", file=sys.stderr)
 sys.exit(code)
 """
 
@@ -39,42 +42,35 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def commands(work: pathlib.Path, t: int, seed: int) -> list:
-    """``(label, argv)`` of each command, in pipeline order."""
-    data, model, proj = work / "data.csv", work / "model.json", work / "projections.csv"
-    dims = ("--dims", "16,16,16,16")
-    return [
-        ("synth", ["synth", "--seed", seed, *dims, "--t", t, "--k", 2, "--snr", 4.0,
-                   "--output", data, "--latents", work / "latents.csv"]),
-        ("fit", ["fit", "--input", data, *dims, "--k", 3, "--output", model]),
-        ("fit --method one-step", ["fit", "--method", "one-step", "--input", data, *dims,
-                                   "--k", 3, "--output", work / "model_one_step.json"]),
-        ("transform", ["transform", "--input", data, *dims, "--model", model, "--output", proj]),
-        ("isc", ["isc", "--input", proj, "--dims", "3,3,3,3", "--k", 1]),
-    ]
+class PeakRound:
+    """The ``rec`` of one ``e2e_round``: runs each step and prints its child's VmHWM."""
 
+    def __init__(self, workload):
+        self.env = dict(workload.child_env(), **dict.fromkeys(THREAD_VARS, "1"))
+        self.kb = None
+        workload.run_cli = self.run_cli
 
-def peak_kb(argv: list, env: dict) -> int:
-    """Run one command in a child; its VmHWM in kB. Exits on a failed command."""
-    proc = subprocess.run([sys.executable, "-c", CHILD, *map(str, argv)],
-                          capture_output=True, text=True, env=env)
-    if proc.returncode != 0:
-        sys.exit(f"mcca {' '.join(map(str, argv))} exited {proc.returncode}: {proc.stderr.strip()}")
-    return int(proc.stdout.splitlines()[-1].split()[1])
+    def run_cli(self, *args):
+        """Run one command in a child; its stdout. Exits on a failed command."""
+        proc = subprocess.run([sys.executable, "-c", CHILD, *map(str, args)],
+                              capture_output=True, text=True, env=self.env)
+        if proc.returncode != 0:
+            sys.exit(f"mcca {' '.join(map(str, args))} exited {proc.returncode}: {proc.stderr.strip()}")
+        self.kb = int(proc.stderr.splitlines()[-1].split()[1])
+        return proc.stdout
+
+    def step(self, label, fn, *args, **kwargs):
+        out = fn(*args, **kwargs)
+        print(f"{label:<24} {self.kb:>9} {self.kb * 1024 / 1e6:>7.2f}", flush=True)
+        return out
 
 
 def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--t", type=int, default=6000, help="exemplar count (default 6000)")
-    parser.add_argument("--seed", type=int, default=1, help="synth seed (default 1)")
-    args = parser.parse_args(argv)
-    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     print(f"{'command':<24} {'VmHWM_kB':>9} {'MB':>7}")
     with tempfile.TemporaryDirectory() as work:
-        for label, cmd in commands(pathlib.Path(work), args.t, args.seed):
-            kb = peak_kb(cmd, env)
-            print(f"{label:<24} {kb:>9} {kb * 1024 / 1e6:>7.2f}", flush=True)
+        workload = workloads.CliWorkload(workloads.CLI, SEED, work, ROOT)
+        workload.e2e_round(PeakRound(workload))
 
 
 if __name__ == "__main__":
