@@ -106,11 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-set canonical correlation analysis on CSV data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--input", required=True, help="data CSV, optional header row")
+    data.add_argument("--dims", required=True, type=_dims_arg,
+                      help="comma-separated column count per set of --input")
 
-    p = sub.add_parser("fit", help="fit shared components and save a model file")
-    p.add_argument("--input", required=True, help="data CSV, optional header row")
-    p.add_argument("--dims", required=True, type=_dims_arg,
-                   help="comma-separated column count per set, e.g. 4,4,4")
+    p = sub.add_parser("fit", parents=[data], help="fit shared components and save a model file")
     p.add_argument("--method", choices=(TWO_STEP, ONE_STEP), default=TWO_STEP)
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
                    help="relative per-set eigenvalue cutoff (two-step only)")
@@ -121,17 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("transform", help="project data through a saved model")
-    p.add_argument("--input", required=True)
-    p.add_argument("--dims", required=True, type=_dims_arg)
+    p = sub.add_parser("transform", parents=[data], help="project data through a saved model")
     p.add_argument("--model", required=True, help="model JSON from fit")
     p.add_argument("--output", required=True, help="projections CSV path")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("isc", help="inter-set correlation of a projections CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--dims", required=True, type=_dims_arg,
-                   help="columns per set in the projections CSV")
+    p = sub.add_parser("isc", parents=[data], help="inter-set correlation of a projections CSV")
     p.add_argument("--k", type=int, default=1,
                    help="1-based component to score (default 1)")
     p.set_defaults(func=cmd_isc)

@@ -13,7 +13,7 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .linalg import as_array, as_matrix, symmetrized
+from .linalg import as_array, as_matrix, symmetrized, to_float64
 
 _CHUNK_BYTES = 8 << 20  # see `covariance`
 
@@ -103,10 +103,9 @@ def load(sets) -> MultiSetData:
     out = []
     for l, block in enumerate(blocks):
         name = f"data set {l + 1}"
-        try:  # load's one copy; as_array copies nothing more
-            arr = np.array(block, dtype=np.float64, order="C", copy=True)
-        except (TypeError, ValueError, OverflowError):
-            arr = as_array(block, name, 2)  # fails alike, with a DataError naming the set
+        arr = to_float64(block, name, "C")
+        if arr is block or arr.base is not None:  # may share the caller's memory
+            arr = arr.copy()
         arr = as_array(arr.reshape(-1, 1) if arr.ndim == 1 else arr, name, 2)
         if out and arr.shape[0] != out[0].shape[0]:
             raise DimensionError(f"{name} has {arr.shape[0]} exemplars, expected {out[0].shape[0]}")

@@ -75,15 +75,21 @@ class SymEig:
 
 
 def symmetrized(a: np.ndarray, name: str) -> np.ndarray:
-    """``(a + a.T) / 2``; DataError if ``a`` is asymmetric beyond ``SYMMETRY_RTOL``."""
+    """``(a + a.T) / 2``; DataError if ``a`` is asymmetric beyond ``SYMMETRY_RTOL``.
+
+    Both come from the halved entries, whose sums and differences cannot
+    overflow for finite ``a``; for entries in the normal range the bits are
+    those of the plain formulas.
+    """
     scale = float(np.abs(a).max())
-    asym = float(np.abs(a - a.T).max())
+    half = 0.5 * a
+    asym = 2.0 * float(np.abs(half - half.T).max())
     if asym > SYMMETRY_RTOL * scale:
         raise DataError(
             f"{name} is not symmetric: max asymmetry {asym:.3e} exceeds "
             f"{SYMMETRY_RTOL:.0e} of its largest entry {scale:.3e}"
         )
-    return 0.5 * (a + a.T)
+    return half + half.T
 
 
 def sym_eig(a, name: str = "matrix") -> SymEig:

@@ -117,20 +117,20 @@ def isc(proj: Projections, n: int) -> IscBreakdown:
     return IscBreakdown(r_between=r_between, r_within=r_within, rho=rho)
 
 
-def _isc_columns(cov, v: np.ndarray) -> tuple[IscBreakdown, np.ndarray]:
+def _isc_columns(cov, v: np.ndarray) -> IscBreakdown:
     """Covariance-form ISC of every column of the total_dim x K matrix ``v``.
 
     Column n is first scaled by 2^-e_n, where 2^e_n is the power of two from
     ``np.frexp`` just above its largest |entry|; the scaling is exact, so
     the quadratic forms can neither overflow nor underflow through ``v``,
     and rho and the variance-floor test come out as for the unscaled
-    column. The between- and within-set sums are then the column-wise
-    diagonals of u'(R - D)u and u'Du for the scaled columns u, from one
-    product with R and one blockwise product with D.
+    column. The between- and within-set sums are the column-wise diagonals
+    of u'(R - D)u and u'Du for the scaled columns u, from one product with
+    R and one blockwise product with D, then multiplied back by 4^e_n.
 
-    Returns an :class:`IscBreakdown` of length-K arrays holding the sums of
-    the scaled columns (multiply by 4^e_n to undo the scaling) and rho, NaN
-    where the projected within-set variance is zero, plus the exponents e.
+    Returns an :class:`IscBreakdown` of length-K arrays: the sums for ``v``
+    itself (±inf where they exceed the float range; rho stays finite) and
+    rho, NaN where the projected within-set variance is zero.
     """
     _, exp = np.frexp(np.abs(v).max(axis=0))
     u = np.ldexp(v, -exp)
@@ -145,7 +145,9 @@ def _isc_columns(cov, v: np.ndarray) -> tuple[IscBreakdown, np.ndarray]:
     defined = r_within > floor
     rho = np.full(r_within.shape, np.nan)
     np.divide(r_between, (cov.n_sets - 1) * r_within, out=rho, where=defined)
-    return IscBreakdown(r_between=r_between, r_within=r_within, rho=rho), exp
+    with np.errstate(over="ignore"):  # sums beyond the float range become ±inf
+        r_between, r_within = np.ldexp([r_between, r_within], 2 * exp)
+    return IscBreakdown(r_between=r_between, r_within=r_within, rho=rho)
 
 
 def isc_from_cov(cov, v) -> IscBreakdown:
@@ -156,18 +158,15 @@ def isc_from_cov(cov, v) -> IscBreakdown:
     pairs l != k, and the within-set part is v'Dv, the sum of the
     diagonal-block quadratic forms; the result matches :func:`isc` applied
     to the projected signals. This is :func:`_isc_columns` on a single
-    column, with its sums scaled back to ``v``.
+    column, so the sums overflow to ±inf, and rho stays finite, for a ``v``
+    whose quadratic forms exceed the float range.
     """
     v = as_array(v, "projection vector", 1)
     if v.shape[0] != cov.total_dim:
         raise DimensionError(
             f"projection vector has length {v.shape[0]}, expected {cov.total_dim}"
         )
-    parts, exp = _isc_columns(cov, v.reshape(-1, 1))
+    parts = _isc_columns(cov, v.reshape(-1, 1))
     if np.isnan(parts.rho[0]):
         raise UndefinedIscError("projected within-set variance is zero; ISC undefined")
-    return IscBreakdown(
-        r_between=float(np.ldexp(parts.r_between[0], 2 * exp[0])),
-        r_within=float(np.ldexp(parts.r_within[0], 2 * exp[0])),
-        rho=float(parts.rho[0]),
-    )
+    return IscBreakdown(float(parts.r_between[0]), float(parts.r_within[0]), float(parts.rho[0]))

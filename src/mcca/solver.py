@@ -204,7 +204,7 @@ def fit_two_step(
     for l in range(cov.n_sets):
         v[slices[l], :] = wb.maps[l] @ e.vectors[wslices[l], :]
     reg = RegularizationRecord(gamma=float(gamma), rank_tol=float(rank_tol), ranks=wb.ranks)
-    return _finish(cov, e.values.copy(), v, k, TWO_STEP, reg)
+    return _finish(cov, e.values, v, k, TWO_STEP, reg)
 
 
 def fit_one_step(
@@ -320,7 +320,7 @@ def _finish(
     vectors = np.ascontiguousarray(vectors[:, :k])
 
     rho_a = (values - 1.0) / (cov.n_sets - 1)
-    rho_e = _isc_columns(cov, vectors)[0].rho
+    rho_e = _isc_columns(cov, vectors).rho
     return MccaModel(
         V=_freeze(vectors),
         lambdas=_freeze(values.copy()),

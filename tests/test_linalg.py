@@ -53,6 +53,11 @@ class TestSymEig:
         with pytest.raises(DataError):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_asymmetry_beyond_the_float_range_rejected(self):
+        # a - a.T overflows here; the check must not warn, only refuse
+        with pytest.raises(DataError, match="is not symmetric"):
+            sym_eig(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
     def test_tiny_asymmetry_tolerated(self):
         a = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
         e = sym_eig(a)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,24 @@ class TestIscFromCov:
             assert abs(from_cov.r_between - from_signals.r_between) <= 1e-10 * max(
                 1.0, abs(from_signals.r_between)
             )
+
+    @pytest.mark.parametrize("k", [-500, -1, 0, 1, 500])
+    def test_exact_under_power_of_two_scaling(self, k):
+        rng = np.random.default_rng(9)
+        cov = covariance(load([rng.standard_normal((20, d)) for d in (2, 3, 2)]))
+        v = rng.standard_normal(7)
+        base, scaled = isc_from_cov(cov, v), isc_from_cov(cov, np.ldexp(v, k))
+        assert scaled.r_between == np.ldexp(base.r_between, 2 * k)
+        assert scaled.r_within == np.ldexp(base.r_within, 2 * k)
+        assert scaled.rho == base.rho
+
+    def test_sums_beyond_the_float_range_overflow_silently(self):
+        cov = mcca.covariance_from_matrix(np.eye(4) + 0.5, (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = isc_from_cov(cov, np.full(4, 1e300))
+        assert out.r_between == out.r_within == np.inf
+        assert out.rho == isc_from_cov(cov, np.ones(4)).rho == 0.5
 
     def test_wrong_length_rejected(self):
         cov = mcca.covariance_from_matrix(np.eye(3), (1, 2))

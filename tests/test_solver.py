@@ -513,6 +513,17 @@ class TestFitFrontend:
         model = mcca.fit(data)
         assert np.abs(model.rho_empirical - model.rho_analytic).max() <= 1e-8
 
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    def test_largest_finite_gamma_gives_the_ridge_limit(self, method):
+        # R + gamma I stays finite, but a + a.T of it would overflow
+        data = random_instance(np.random.default_rng(19), (3, 3, 3), 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = mcca.fit(data, method=method, gamma=1e308)
+        assert np.abs(model.lambdas - 1.0).max() <= 1e-14
+        assert np.abs(model.rho_analytic).max() <= 1e-14
+        assert np.isfinite(model.rho_empirical).all()
+
     def test_gamma_separates_analytic_and_empirical(self):
         rng = np.random.default_rng(18)
         data = random_instance(rng, (3, 3), 30)
