@@ -6,19 +6,27 @@ that cannot be read or written, dimension mismatches and invalid options;
 3 degenerate data (rank-deficient or zero-variance); 1 only for an
 unexpected error. Column grouping is supplied with --dims (comma-separated
 per-set widths) since the CSV files carry no set structure.
+
+Each command reads its input and makes its output one row batch at a
+time, so its memory does not grow with the row count, and writes each
+output to a temporary file beside it, created before any input is read
+and moved into place only when the command succeeds.
 """
 
 import argparse
+import contextlib
+import errno
+import os
 import sys
 
 import numpy as np
 
 from . import fileio
-from .data import _check_dims, block_slices, load
+from .data import CovarianceAccumulator, _check_dims, batch_rows, block_slices, load
 from .errors import DataError, DegeneracyError, DimensionError
 from .metrics import Projections, isc, transform
 from .solver import DEFAULT_RANK_TOL, ONE_STEP, TWO_STEP, fit
-from .synth import SynthSpec, generate
+from .synth import SynthSpec, row_batches
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -33,20 +41,94 @@ def _dims_arg(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
-def _read_sets(args) -> list:
-    arr = fileio.read_data_csv(args.input)
-    if sum(args.dims) != arr.shape[1]:
-        raise DimensionError(
-            f"{args.input}: --dims {','.join(map(str, args.dims))} sums to {sum(args.dims)} "
-            f"but the file has {arr.shape[1]} columns"
-        )
-    return [arr[:, sl] for sl in block_slices(args.dims)]
+class _Output(os.PathLike):
+    """A command's output file, written through a temporary file beside it.
+
+    The temporary file is created at once, so a path that cannot be written
+    fails before any work. The object opens as the temporary file and
+    prints as the path given, so error messages name that path.
+    """
+
+    def __init__(self, path: str):
+        self.path = self.tmp = path
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        # a device or a pipe is written in place; a link's target is replaced
+        self.target = None
+        if os.path.isfile(path) or not os.path.exists(path):
+            self.target = os.path.realpath(path)
+            folder, name = os.path.split(self.target)
+            self.tmp = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
+            try:
+                os.close(os.open(self.tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+
+    def __fspath__(self) -> str:
+        return self.tmp
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+
+@contextlib.contextmanager
+def _outputs(*paths):
+    """One :class:`_Output` per path (None for None), moved onto their
+    targets when the block succeeds and removed when it fails."""
+    outs = []
+    try:
+        for path in paths:
+            outs.append(None if path is None else _Output(path))
+        yield outs
+        for out in outs:
+            if out is not None and out.target is not None:
+                os.replace(out.tmp, out.target)
+    except BaseException:
+        for out in outs:
+            if out is not None and out.target is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(out.tmp)
+        raise
+
+
+def _batches(args):
+    """``--input``'s row batches, the first checked against ``--dims``."""
+    for i, batch in enumerate(fileio.read_row_batches(args.input)):
+        if i == 0 and batch.shape[1] != sum(args.dims):
+            raise DimensionError(
+                f"{args.input}: --dims {','.join(map(str, args.dims))} sums to {sum(args.dims)} "
+                f"but the file has {batch.shape[1]} columns"
+            )
+        yield batch
+
+
+def _regroup(batches, rows: int):
+    """The rows of ``batches`` in batches of ``rows`` rows; the last takes
+    the rest, joined to the batch before it if that rest is one row."""
+    held = None
+    for batch in batches:
+        held = batch if held is None else np.concatenate([held, batch])
+        while len(held) >= rows + 2:
+            yield held[:rows]
+            held = held[rows:]
+    if held is not None:
+        yield held
+
+
+def _covariance(args):
+    """The covariance blocks of ``--input``, read in one pass; the
+    accumulator's chunk buffer is gone when this returns."""
+    acc = CovarianceAccumulator(args.dims)
+    for batch in _batches(args):
+        acc.add(batch)
+    return acc.covariance()
 
 
 def cmd_fit(args) -> int:
-    data = load(_read_sets(args))
-    model = fit(data, method=args.method, rank_tol=args.rank_tol, gamma=args.gamma, k=args.k)
-    fileio.save_model(model, args.output)
+    with _outputs(args.output) as (output,):
+        model = fit(_covariance(args), method=args.method, rank_tol=args.rank_tol,
+                    gamma=args.gamma, k=args.k)
+        fileio.save_model(model, output)
     print("component       lambda rho_analytic rho_empirical")
     for n in range(model.n_components):
         print(
@@ -57,24 +139,28 @@ def cmd_fit(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    model = fileio.load_model(args.model)
-    if args.dims != model.dims:
-        raise DimensionError(
-            f"--dims {','.join(map(str, args.dims))} does not match the model's "
-            f"dims {','.join(map(str, model.dims))}"
-        )
-    data = load(_read_sets(args))
-    proj = transform(model, data)
-    fileio.write_projections_csv(args.output, proj.signals)
+    with _outputs(args.output) as (output,):
+        model = fileio.load_model(args.model)
+        if args.dims != model.dims:
+            raise DimensionError(
+                f"--dims {','.join(map(str, args.dims))} does not match the model's "
+                f"dims {','.join(map(str, model.dims))}"
+            )
+        slices = block_slices(args.dims)
+        header = fileio.projections_header(len(args.dims), model.n_components)
+        with fileio.data_csv_writer(output, header) as write:
+            for batch in _regroup(_batches(args), batch_rows(sum(args.dims))):
+                proj = transform(model, load([batch[:, sl] for sl in slices]))
+                write(np.hstack(proj.signals))
     return EXIT_OK
 
 
 def cmd_isc(args) -> int:
-    sets = _read_sets(args)
     if not 1 <= args.k <= min(args.dims):
         raise DimensionError(f"--k must lie in [1, {min(args.dims)}], got {args.k}")
-    signals = tuple(s[:, args.k - 1 : args.k] for s in sets)
-    breakdown = isc(Projections(signals), 0)
+    columns = [sl.start + args.k - 1 for sl in block_slices(args.dims)]
+    kept = np.concatenate([batch[:, columns] for batch in _batches(args)])
+    breakdown = isc(Projections(tuple(kept[:, l : l + 1] for l in range(len(columns)))), 0)
     print(f"r_between {breakdown.r_between!r}")
     print(f"r_within {breakdown.r_within!r}")
     print(f"rho {breakdown.rho!r}")
@@ -93,10 +179,16 @@ def cmd_synth(args) -> int:
         n_components=args.k,
         snr=args.snr,
     )
-    result = generate(spec)
-    fileio.write_data_csv(args.output, np.hstack(result.data.sets))
-    if args.latents is not None:
-        fileio.write_data_csv(args.latents, result.latents)
+    with _outputs(args.output, args.latents) as (output, latents):
+        _, batches = row_batches(spec)
+        with contextlib.ExitStack() as stack:
+            write_data = stack.enter_context(fileio.data_csv_writer(output))
+            if latents is not None:
+                write_latents = stack.enter_context(fileio.data_csv_writer(latents))
+            for lat, sets in batches:
+                write_data(np.hstack(sets))
+                if latents is not None:
+                    write_latents(lat)
     return EXIT_OK
 
 

@@ -5,8 +5,15 @@ set l contributes a T x d_l block. Covariances are unnormalized sums over
 exemplars (no 1/(T-1) factor): correlations and the eigenstructure built on
 top are invariant to that common scale, and keeping raw sums makes the
 block algebra exact for integer test fixtures.
+
+R comes from one :class:`CovarianceAccumulator`, which takes rows in
+batches and never needs all T rows at once: ``covariance`` gives it the
+loaded sets as one batch, and ``mcca fit`` gives it its input's row
+batches as it reads them. ``batch_rows`` sizes the batches in which the
+CLI makes and projects rows.
 """
 
+import mmap
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
@@ -15,12 +22,28 @@ import numpy as np
 from .errors import DataError, DimensionError
 from .linalg import as_array, as_matrix, symmetrized, to_float64
 
-_CHUNK_BYTES = 8 << 20  # see `covariance`
+_CHUNK_BYTES = 8 << 20  # see `CovarianceAccumulator`
+_BATCH_BYTES = 1 << 20  # see `batch_rows`
+_BATCH_BLOCKS = 128  # of 16 rows: at most 2048 rows per batch
 
 
 def block_slices(dims) -> list[slice]:
     """Column slices of the concatenated layout for per-set dims."""
     return [slice(a, b) for a, b in pairwise(accumulate(dims, initial=0))]
+
+
+def batch_rows(width: int) -> int:
+    """Rows per batch where rows of ``width`` columns are made or projected
+    one batch at a time: about ``_BATCH_BYTES`` of float64, in a multiple
+    of 16 rows, and at most 2048 rows.
+
+    OpenBLAS's small-matrix kernels take the rows of a product in blocks,
+    and a batch edge inside a block changes the bits of the rows there. With
+    batches of whole blocks, and a last batch of at least two rows (numpy
+    takes a one-row product elsewhere), the batched product equals the
+    whole one bit for bit whenever both take the same kernel.
+    """
+    return 16 * min(_BATCH_BLOCKS, max(1, _BATCH_BYTES // (128 * width)))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -160,29 +183,126 @@ class CovarianceBlocks:
         return out
 
 
+class CovarianceAccumulator:
+    """Count, column sums and co-moment of multi-set rows, one batch at a time.
+
+    :meth:`add` copies each batch of rows (the sets' columns side by side)
+    into a buffer of at most ``_CHUNK_BYTES`` (or one row; ``max_rows``, if
+    known, can only shrink it) and folds the buffer in whenever it fills;
+    :meth:`covariance` folds in the rest and returns R. Memory is that
+    buffer and a few total_dim x total_dim arrays, whatever the number of
+    rows: 8 MiB is 1024 rows at 1024 columns, enough for full-speed BLAS.
+
+    Folding in a chunk is the pairwise update of Chan, Golub & LeVeque
+    (1979), taken about the running mean: the chunk is centered by the mean
+    of all rows so far and its Gram product added to the co-moment, and the
+    old co-moment moves to that mean by ``L e' + e L' + count e e'``, with
+    e the change of mean and L the old rows' summed deviations from the old
+    mean. L is zero but for rounding; kept, it makes the move exact, so a
+    mean rounded at a large offset costs no accuracy. The column sums go
+    into each chunk's reduction as its first row, so the means come out as
+    numpy's ``mean(axis=0)`` of each set, bit for bit, for sets of two or
+    more columns; a one-column set's mean is numpy's only when one chunk
+    holds every row, as numpy sums a single column pairwise. With one
+    chunk, R is the two-pass centered Gram product exactly.
+    """
+
+    def __init__(self, dims, max_rows: int | None = None):
+        self.dims = tuple(dims)
+        self.count = 0
+        total = sum(self.dims)
+        self.sums = np.zeros(total)
+        self.comoment = np.zeros((total, total))
+        self.deviations = np.zeros(total)
+        self._slices = block_slices(self.dims)
+        rows = max(1, _CHUNK_BYTES // (8 * total))
+        # row 0 carries the column sums into each chunk's reduction
+        shape = (1 + min(rows, max_rows or rows), total)
+        if max_rows is None:
+            # rows may never come: an anonymous map takes memory only for
+            # the rows written, where numpy would ask for huge pages for an
+            # array this large and take memory 2 MB at a time
+            self._buf = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])).reshape(shape)
+        else:
+            self._buf = np.empty(shape)
+        self._fill = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        """Add a batch of finite rows, ``total_dim`` columns each."""
+        cap = len(self._buf) - 1
+        start = 0
+        while start < len(rows):
+            take = min(len(rows) - start, cap - self._fill)
+            self._buf[1 + self._fill : 1 + self._fill + take] = rows[start : start + take]
+            self._fill += take
+            start += take
+            if self._fill == cap:
+                self._flush()
+
+    def _flush(self) -> None:
+        n, buf = self._fill, self._buf
+        if not n:
+            return
+        buf[0] = self.sums
+        first = 0 if self.count else 1
+        sums = np.concatenate([buf[first : 1 + n, sl].sum(axis=0) for sl in self._slices])
+        self._fill = 0
+        self._fold([buf[1 : 1 + n, sl] for sl in self._slices], sums)
+        self.deviations += buf[1 : 1 + n].sum(axis=0)  # the rows _fold centered
+
+    def _fold(self, blocks: list, sums: np.ndarray) -> None:
+        """Fold in the rows of ``blocks`` (one per set); ``sums`` are the
+        column sums of every row so far, these included. The caller adds
+        the new rows' deviations, which only a later fold needs."""
+        m = blocks[0].shape[0]
+        count = self.count + m
+        mean = sums / count
+        if self.count:  # move the old rows' co-moment and deviations to the new mean
+            e = self.sums / self.count - mean
+            self.comoment += np.outer(self.deviations, e)
+            self.comoment += np.outer(e, self.deviations + self.count * e)
+            self.deviations += self.count * e
+        cap = len(self._buf) - 1
+        for a in range(0, m, cap):
+            chunk = self._buf[1 : 1 + min(cap, m - a)]
+            for block, sl in zip(blocks, self._slices):
+                np.subtract(block[a : a + cap], mean[sl], out=chunk[:, sl])
+            self.comoment += chunk.T @ chunk
+        self.count, self.sums = count, sums
+
+    def covariance(self, means: tuple | None = None) -> CovarianceBlocks:
+        """R of every row added, symmetrized so R == R.T holds exactly.
+
+        ``means`` replaces the accumulated column means in the result.
+        DimensionError if fewer than 2 rows were added.
+        """
+        self._flush()
+        if self.count < 2:
+            raise DimensionError(f"need at least 2 exemplars, got {self.count}")
+        if means is None:
+            mean = self.sums / self.count
+            means = [mean[sl] for sl in self._slices]
+        r = 0.5 * (self.comoment + self.comoment.T)
+        return CovarianceBlocks(R=_freeze(r), dims=self.dims, means=tuple(map(_freeze, means)))
+
+
 def covariance(data: MultiSetData) -> CovarianceBlocks:
     """Cross-covariance blocks of (internally centered) multi-set data.
 
-    Each block is the plain sum over exemplars of centered outer products,
-    taken in two passes: one for the column means (centered data keeps its
-    ``means``), then one that centers each row chunk into a reused buffer of
-    at most ``_CHUNK_BYTES`` (or one row) and adds its Gram product into R;
-    8 MiB is 1024 rows at 1024 columns, enough for full-speed BLAS. Beyond
-    the input, memory is that buffer and a few total_dim x total_dim arrays:
-    the data is never copied. R is symmetrized so R == R.T holds exactly.
+    Each block is the plain sum over exemplars of centered outer products.
+    The loaded sets go into one :class:`CovarianceAccumulator` as its one
+    and only fold, with numpy's column sums of each set, so the means are
+    ``mean(axis=0)`` of each set and R is centered on them; the data is
+    never copied, only centered chunk by chunk into the accumulator's
+    buffer. Centered data keeps its ``means`` and is taken as centered.
     """
-    means = data.means if data.centered else [b.mean(axis=0) for b in data.sets]
-    shifts = [0.0] * data.n_sets if data.centered else means
-    rows = max(1, _CHUNK_BYTES // (8 * data.total_dim))
-    buf = np.empty((min(rows, data.n_exemplars), data.total_dim))
-    r = np.zeros((data.total_dim, data.total_dim))
-    for a in range(0, data.n_exemplars, rows):
-        chunk = buf[: min(rows, data.n_exemplars - a)]
-        for block, shift, sl in zip(data.sets, shifts, block_slices(data.dims)):
-            np.subtract(block[a : a + rows], shift, out=chunk[:, sl])
-        r += chunk.T @ chunk
-    r = 0.5 * (r + r.T)
-    return CovarianceBlocks(R=_freeze(r), dims=data.dims, means=tuple(map(_freeze, means)))
+    acc = CovarianceAccumulator(data.dims, data.n_exemplars)
+    if data.centered:
+        sums = np.zeros(data.total_dim)
+    else:
+        sums = np.concatenate([block.sum(axis=0) for block in data.sets])
+    acc._fold(data.sets, sums)
+    return acc.covariance(data.means)
 
 
 def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:

@@ -9,11 +9,12 @@ parsed as float() parses them, so they round-trip exactly and '.' is the
 decimal separator in any locale. Body rows are written as joined reprs
 ended by '\r\n', the bytes csv.writer writes for floats, one row at a time.
 
-read_data_csv converts the records in batches of at most _BATCH_FIELDS
-fields and concatenates the batches' arrays, so beside the T x D result it
-holds only one batch of text and the converted parts: it peaks at about
-twice the result's bytes, while text fields for a whole file take about
-eleven times.
+read_row_batches converts the records in batches of at most _BATCH_FIELDS
+fields and yields each batch's array, so it holds one batch of text at a
+time; the CLI streams its input through it. read_data_csv concatenates
+the batches: it peaks at about twice the T x D result's bytes, while text
+fields for a whole file take about eleven times. data_csv_writer appends
+row batches to one data file; write_data_csv writes one array through it.
 
 Model files are JSON with a schema_version field. save_model writes the
 bytes of json.dump(indent=1) one array row at a time, floats at full
@@ -90,12 +91,14 @@ def _is_header(row) -> bool:
     return False
 
 
-def read_data_csv(path: str) -> np.ndarray:
-    """Read a numeric CSV, skipping a header row if one is present.
+def read_row_batches(path: str):
+    """Yield the rows of a numeric CSV as float arrays, one batch at a time.
 
-    Returns a T x D float array. Ragged rows, non-numeric or non-finite data
-    fields, and empty files raise DataError naming the first offending line;
-    a file that is not UTF-8 raises DataError naming the path.
+    A header row, if present, is skipped. Each batch holds at most
+    ``max(1, _BATCH_FIELDS // D)`` rows of the D columns. Ragged rows,
+    non-numeric or non-finite data fields, and empty files raise DataError
+    naming the first offending line, once the batches before it have been
+    yielded; a file that is not UTF-8 raises DataError naming the path.
     """
     with _open_text(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -110,15 +113,37 @@ def read_data_csv(path: str) -> np.ndarray:
         width = len(first[1])
         rows_per_batch = max(1, _BATCH_FIELDS // width)
         records = itertools.chain([first], records)
-        parts = []
         while batch := list(itertools.islice(records, rows_per_batch)):
             arr = _to_finite([row for _, row in batch])
             if arr is None or arr.shape[1] != width:
                 # row by row, to name the batch's first bad line and column;
                 # every earlier batch converted, so it is first in file order
                 arr = np.array([_parse_row(row, path, line, width) for line, row in batch])
-            parts.append(arr)
-    return np.concatenate(parts)
+            yield arr
+
+
+def read_data_csv(path: str) -> np.ndarray:
+    """Read a numeric CSV as a T x D float array: the concatenated
+    :func:`read_row_batches`, with the same errors."""
+    return np.concatenate(list(read_row_batches(path)))
+
+
+@contextlib.contextmanager
+def data_csv_writer(path: str, header: list | None = None):
+    """Open ``path`` as a data CSV, write ``header`` if given, and yield ``write``.
+
+    ``write(rows)`` appends a batch of rows; a batch read_data_csv would
+    refuse raises, naming ``path``, before any of its rows is written.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header is not None:
+            csv.writer(fh).writerow(header)
+
+        def write(rows) -> None:
+            arr = as_array(rows, f"{path}: array", 2)
+            fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in arr)
+
+        yield write
 
 
 def write_data_csv(path: str, array: np.ndarray, header: list | None = None) -> None:
@@ -131,15 +156,18 @@ def write_data_csv(path: str, array: np.ndarray, header: list | None = None) -> 
         raise DimensionError(
             f"header has {len(header)} names for {arr.shape[1]} columns"
         )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header is not None:
-            csv.writer(fh).writerow(header)
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in arr)
+    with data_csv_writer(path, header) as write:
+        write(arr)
+
+
+def projections_header(n_sets: int, n_components: int) -> list:
+    """Column names of a projections CSV: set1_comp1, set1_comp2, ..., set-major."""
+    return [f"set{l + 1}_comp{n + 1}" for l in range(n_sets) for n in range(n_components)]
 
 
 def write_projections_csv(path: str, signals: tuple) -> None:
-    """Write per-set component signals set-major, headed set1_comp1, set1_comp2, ..."""
-    header = [f"set{l + 1}_comp{n + 1}" for l, s in enumerate(signals) for n in range(s.shape[1])]
+    """Write per-set component signals set-major, headed by :func:`projections_header`."""
+    header = projections_header(len(signals), signals[0].shape[1])
     write_data_csv(path, np.hstack(signals), header=header)
 
 

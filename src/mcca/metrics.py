@@ -103,11 +103,11 @@ def isc(proj: Projections, n: int) -> IscBreakdown:
     y = np.column_stack([s[:, n] for s in proj.signals])
     y = as_array(y, f"signal block of component {n}", 2)
     n_sets = y.shape[1]
-    yc = y - y.mean(axis=0)
-    gram = yc.T @ yc
+    scale = max(float(y.max()), -float(y.min()))
+    y -= y.mean(axis=0)  # y is column_stack's own copy
+    gram = y.T @ y
     r_within = float(np.trace(gram))
     r_between = float(gram.sum()) - r_within
-    scale = float(np.abs(y).max())
     floor = (VARIANCE_FLOOR_REL * scale) ** 2 * y.size
     if r_within <= floor:
         raise UndefinedIscError(

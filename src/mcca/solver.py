@@ -242,22 +242,25 @@ def fit_one_step(
 
 
 def fit(
-    data: MultiSetData,
+    data: MultiSetData | CovarianceBlocks,
     method: str = TWO_STEP,
     rank_tol: float = DEFAULT_RANK_TOL,
     gamma: float = 0.0,
     k: int | None = None,
 ) -> MccaModel:
-    """Center ``data``, form covariance blocks, and fit with ``method``.
+    """Fit with ``method``: the one route dispatch.
 
-    The options are checked, on either route, before the covariance is built.
+    ``data`` is multi-set data, which is centered and reduced to its
+    covariance blocks, or covariance blocks built already (as ``mcca fit``
+    accumulates them from its input). The options are checked, on either
+    route, before the covariance is built.
     """
     if method not in (TWO_STEP, ONE_STEP):
         raise DataError(f"unknown method {method!r}; expected {TWO_STEP!r} or {ONE_STEP!r}")
     _check_gamma(gamma)
     _check_rank_tol(rank_tol)
     _check_k(k)
-    cov = covariance(data)
+    cov = data if isinstance(data, CovarianceBlocks) else covariance(data)
     if method == TWO_STEP:
         return fit_two_step(cov, rank_tol=rank_tol, gamma=gamma, k=k)
     return fit_one_step(cov, gamma=gamma, k=k)

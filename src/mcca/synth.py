@@ -30,17 +30,23 @@ same realizations.
 definition (one output per step, kept with the tests as their reference).
 The xoshiro256** state transition is linear over GF(2) (Blackman & Vigna,
 "Scrambled Linear Pseudorandom Number Generators", arXiv:1805.01407), so
-the 256 x 256 bit matrices of 2**j steps, built once by repeated squaring,
-give the start states of contiguous lanes of the stream; all lanes then
-step together on numpy uint64 arrays.
+the 256 x 256 bit matrices of 2**j steps, built once by repeated squaring
+and kept bit-packed, give the start states of contiguous lanes of the
+stream; all lanes then step together on numpy uint64 arrays.
+
+The same jumps place each stream anywhere: ``row_batches`` starts the
+latents and every set's noise at their offsets in the stream and draws
+the instance one row batch at a time, so ``mcca synth`` holds one batch;
+``generate`` concatenates the same batches.
 """
 
+import copy
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultiSetData, _check_dims, _freeze, _is_int, _is_real, _sequence, load
+from .data import MultiSetData, _check_dims, _freeze, _is_int, _is_real, _sequence, batch_rows, load
 from .errors import DataError
 from .linalg import as_array
 from .metrics import transform
@@ -101,8 +107,8 @@ def _mod2(x: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _jump_matrix(j: int) -> np.ndarray:
-    """The 256 x 256 GF(2) matrix of 2**j steps, as 0/1 float32.
+def _packed_jump(j: int) -> np.ndarray:
+    """The 256 x 256 GF(2) matrix of 2**j steps, bit-packed along rows (8 KiB).
 
     The step is linear over GF(2), so ``bits @ _jump_matrix(j)`` reduced mod
     2 is the state 2**j steps on. Row i is the image of unit state i. Every
@@ -116,8 +122,14 @@ def _jump_matrix(j: int) -> np.ndarray:
     else:
         half = _jump_matrix(j - 1)
         out = _mod2(half @ half)
-    out.setflags(write=False)
-    return out
+    packed = np.packbits(out.astype(bool), axis=1)
+    packed.setflags(write=False)
+    return packed
+
+
+def _jump_matrix(j: int) -> np.ndarray:
+    """:func:`_packed_jump` unpacked to a 0/1 float32 matrix, for one product."""
+    return np.unpackbits(_packed_jump(j), axis=1).astype(np.float32)
 
 
 def _lane_draws(state: list, n: int) -> tuple:
@@ -128,9 +140,9 @@ def _lane_draws(state: list, n: int) -> tuple:
     ``state`` by doubling: the first 2**j lanes jumped 2**(p+j) steps give
     the next 2**j. All lanes then step together, S times.
     """
-    # S near sqrt(n) balances the doubling, whose cost grows with the lanes,
-    # against the step loop, whose Python overhead grows with the steps
-    p = (n.bit_length() - 1) // 2
+    # S near sqrt(n) / 2 balances the doubling, whose cost grows with the
+    # lanes, against the step loop, whose Python overhead grows with the steps
+    p = max(0, (n.bit_length() - 1) // 2 - 1)
     steps = 1 << p
     lanes = -(-n // steps)
     starts = _to_bits(np.array(state, dtype=np.uint64).reshape(4, 1))
@@ -154,8 +166,8 @@ class Xoshiro256StarStar:
 
     The integer stream is exact across platforms; uniforms take the top
     53 bits of each output. ``normals`` computes the stream lane-parallel.
-    Its one caller is :func:`generate`, whose :class:`SynthSpec` has already
-    checked the seed and the sizes, so it checks neither again.
+    Its one caller is :func:`row_batches`, whose :class:`SynthSpec` has
+    already checked the seed and the sizes, so it checks neither again.
     """
 
     def __init__(self, seed: int):
@@ -163,6 +175,14 @@ class Xoshiro256StarStar:
         # most one of the four words is 0: no seed gives the all-zero state
         sm = _splitmix64(int(seed) & _MASK64)
         self._s = [next(sm) for _ in range(4)]
+
+    def jump(self, steps: int) -> None:
+        """Skip ``steps`` >= 0 outputs: one jump-matrix product per set bit."""
+        bits = _to_bits(np.array(self._s, dtype=np.uint64).reshape(4, 1))
+        for j in range(steps.bit_length()):
+            if steps >> j & 1:
+                bits = _mod2(bits @ _jump_matrix(j))
+        self._s = _from_bits(bits)[:, 0].tolist()
 
     def normals(self, count: int) -> np.ndarray:
         """Draw ``count`` >= 1 standard normals by pairwise Box-Muller.
@@ -196,6 +216,7 @@ class SynthSpec:
         for name in ("seed", "n_exemplars", "n_components"):
             if not _is_int(value := getattr(self, name)):
                 raise DataError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         dims = _check_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         if self.n_exemplars < 2:
@@ -243,13 +264,23 @@ class SynthResult:
     unmixing: tuple
 
 
-def generate(spec: SynthSpec) -> SynthResult:
-    """Generate one instance; a pure function of ``spec`` including seed."""
-    rng = Xoshiro256StarStar(spec.seed)
+def row_batches(spec: SynthSpec) -> tuple:
+    """The mixing matrices, and an iterator of ``(latents, sets)`` row batches.
+
+    Batches are :func:`~mcca.data.batch_rows` rows long and the last takes
+    the rest, joined to the batch before it if that rest is one row.
+    ``latents`` is the batch's B x K latent rows and ``sets`` its B x d_l
+    block of each set. The draw order fixes where the latents and each
+    set's noise start in the stream, so one generator jumps there for
+    each, and each batch draws its rows from every one of them in turn.
+    Every batch but the last has an even row count, so no batch splits a
+    Box-Muller pair.
+    """
     t, k = spec.n_exemplars, spec.n_components
-    latents = rng.normals(t * k).reshape(t, k)
-    signal_on = 0.0 if spec.snr == 0.0 else 1.0
-    sets, mixing = [], []
+    rng = Xoshiro256StarStar(spec.seed)
+    streams = [copy.copy(rng)]
+    rng.jump(2 * ((t * k + 1) // 2))  # past the latents' pairs
+    mixing = []
     for l, d in enumerate(spec.dims):
         if spec.mixing is None:
             a = rng.normals(d * k).reshape(d, k)
@@ -259,9 +290,36 @@ def generate(spec: SynthSpec) -> SynthResult:
             a = a / norms
         else:
             a = spec.mixing[l]
-        noise = rng.normals(t * d).reshape(t, d)
-        sets.append(signal_on * (latents @ a.T) + spec.sigma * noise)
         mixing.append(a)
+        streams.append(copy.copy(rng))
+        if l + 1 < len(spec.dims):
+            rng.jump(2 * ((t * d + 1) // 2))  # past this set's noise pairs
+    return tuple(mixing), _draw_batches(spec, mixing, streams)
+
+
+def _draw_batches(spec: SynthSpec, mixing: list, streams: list):
+    t, k = spec.n_exemplars, spec.n_components
+    signal_on = 0.0 if spec.snr == 0.0 else 1.0
+    starts = list(range(0, t - 1, batch_rows(sum(spec.dims))))
+    for a, b in zip(starts, starts[1:] + [t]):
+        latents = streams[0].normals((b - a) * k).reshape(b - a, k)
+        sets = [
+            signal_on * (latents @ mix.T) + spec.sigma * noise.normals((b - a) * d).reshape(b - a, d)
+            for d, mix, noise in zip(spec.dims, mixing, streams[1:])
+        ]
+        yield latents, sets
+
+
+def generate(spec: SynthSpec) -> SynthResult:
+    """Generate one instance; a pure function of ``spec`` including seed.
+
+    The data and latents are the concatenated :func:`row_batches`.
+    """
+    mixing, batches = row_batches(spec)
+    parts = list(batches)
+    latents = np.concatenate([lat for lat, _ in parts])
+    sets = [np.concatenate([part[l] for _, part in parts]) for l in range(len(spec.dims))]
+    del parts  # before load copies the sets
     return SynthResult(
         data=load(sets),
         latents=_freeze(latents),

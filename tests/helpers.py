@@ -27,6 +27,28 @@ def dense_d(cov):
     return d
 
 
+def covariance_two_pass(data, chunk_bytes=8 << 20):
+    """``covariance`` as two passes over the loaded sets.
+
+    The oracle for the one-pass accumulator: this is how R was built
+    before. The column means come first (centered data keeps its
+    ``means`` and is not shifted), then each row chunk of at most
+    ``chunk_bytes`` is centered into a reused buffer and its Gram product
+    added into R.
+    """
+    means = data.means if data.centered else [b.mean(axis=0) for b in data.sets]
+    shifts = [0.0] * data.n_sets if data.centered else means
+    rows = max(1, chunk_bytes // (8 * data.total_dim))
+    buf = np.empty((min(rows, data.n_exemplars), data.total_dim))
+    r = np.zeros((data.total_dim, data.total_dim))
+    for a in range(0, data.n_exemplars, rows):
+        chunk = buf[: min(rows, data.n_exemplars - a)]
+        for block, shift, sl in zip(data.sets, shifts, mcca.block_slices(data.dims)):
+            np.subtract(block[a : a + rows], shift, out=chunk[:, sl])
+        r += chunk.T @ chunk
+    return 0.5 * (r + r.T), means
+
+
 def save_model_json_dump(model, path):
     """``save_model`` as one ``json.dump(indent=1)`` of ``tolist()`` copies.
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import mcca
-from mcca.fileio import read_data_csv, write_data_csv
+import mcca.data
+from mcca.cli import main
+from mcca.fileio import read_data_csv, write_data_csv, write_projections_csv
 
 
 def run_cli(*args, env_extra=None):
@@ -455,3 +458,154 @@ class TestOutputBytes:
             code, _, err = run_cli(*args)
             assert code == 0, err
         assert sha256(proj) == README_PROJ_SHA256
+
+
+class TestNoPartialOutputs:
+    """A failed command leaves no new file and every old file as it was."""
+
+    def test_synth_unwritable_latents_leaves_no_data_file(self, tmp_path):
+        data = tmp_path / "d.csv"
+        code, _, err = run_cli("synth", "--dims", "2,2", "--t", 10, "--output", data,
+                               "--latents", tmp_path / "nodir" / "l.csv")
+        assert code == 2
+        assert str(tmp_path / "nodir" / "l.csv") in err
+        assert os.listdir(tmp_path) == []
+
+    def test_fit_refuses_unwritable_output_before_reading(self, tmp_path):
+        # the input does not exist either: the output is checked first
+        out = tmp_path / "nodir" / "m.json"
+        code, _, err = run_cli("fit", "--input", tmp_path / "missing.csv", "--dims", "1,1",
+                               "--output", out)
+        assert code == 2
+        assert str(out) in err and "missing.csv" not in err
+
+    @pytest.mark.parametrize("command", ["fit", "transform", "synth"])
+    def test_failed_run_keeps_old_output(self, tmp_path, command):
+        data, model, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "out"
+        rng = np.random.default_rng(5)
+        write_data_csv(data, rng.standard_normal((40, 4)))
+        assert run_cli("fit", "--input", data, "--dims", "2,2", "--output", model)[0] == 0
+        # a bad field far past the first row batch
+        data.write_text(data.read_text() + "1.0,2.0,x,4.0\n")
+        out.write_bytes(b"old bytes")
+        before = sorted(os.listdir(tmp_path))
+        args = {
+            "fit": ("fit", "--input", data, "--dims", "2,2", "--output", out),
+            "transform": ("transform", "--input", data, "--dims", "2,2", "--model", model,
+                          "--output", out),
+            "synth": ("synth", "--dims", "2,2", "--t", 50, "--k", 3, "--output", out),
+        }[command]
+        code, _, err = run_cli(*args)
+        assert code == 2, err
+        assert out.read_bytes() == b"old bytes"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_degenerate_fit_keeps_old_model(self, tmp_path):
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        data.write_text("1,5\n1,6\n1,7\n")
+        model.write_bytes(b"{}")
+        code, _, _ = run_cli("fit", "--input", data, "--dims", "1,1", "--output", model)
+        assert code == 3
+        assert model.read_bytes() == b"{}" and sorted(os.listdir(tmp_path)) == ["d.csv", "m.json"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_device_written_in_place(self, tmp_path):
+        assert run_cli("synth", "--dims", "2,2", "--t", 10, "--output", "/dev/null")[0] == 0
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+    def test_link_target_replaced(self, tmp_path):
+        target, link = tmp_path / "d.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert run_cli("synth", "--dims", "2,2", "--t", 10, "--output", link)[0] == 0
+        assert link.is_symlink() and target.read_bytes() == link.read_bytes() != b"old"
+
+    def test_output_keeps_umask_mode(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run_cli("synth", "--dims", "2,2", "--t", 10, "--output", out)[0] == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+class TestStreamedCommands:
+    """Batched commands write the bytes of the in-memory pipeline.
+
+    Projecting 16 features onto 3 components is a shape where batches
+    that end inside a 16-row block change the bits of the product.
+    """
+
+    B = 32  # rows per batch under the patched _BATCH_BYTES below
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        # batch_rows(width) == 32 for the 32 columns used here
+        monkeypatch.setattr(mcca.data, "_BATCH_BYTES", 2 * 128 * 32)
+        assert mcca.data.batch_rows(32) == self.B
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_synth_and_transform_match_in_memory(self, tmp_path, m, extra, capsys):
+        t = m * self.B + extra
+        data, latents = tmp_path / "d.csv", tmp_path / "l.csv"
+        model, proj = tmp_path / "m.json", tmp_path / "p.csv"
+        dims = ("--dims", "16,16")
+        assert main(["synth", "--seed", "3", *dims, "--t", str(t), "--k", "2", "--snr", "5",
+                     "--output", str(data), "--latents", str(latents)]) == 0
+        spec = mcca.SynthSpec(seed=3, dims=(16, 16), n_exemplars=t, n_components=2, snr=5.0)
+        result = mcca.generate(spec)
+        write_data_csv(tmp_path / "d_ref.csv", np.hstack(result.data.sets))
+        write_data_csv(tmp_path / "l_ref.csv", result.latents)
+        assert data.read_bytes() == (tmp_path / "d_ref.csv").read_bytes()
+        assert latents.read_bytes() == (tmp_path / "l_ref.csv").read_bytes()
+
+        assert main(["fit", "--input", str(data), *dims, "--k", "3", "--output", str(model)]) == 0
+        assert main(["transform", "--input", str(data), *dims, "--model", str(model),
+                     "--output", str(proj)]) == 0
+        signals = mcca.transform(mcca.load_model(model), result.data).signals
+        write_projections_csv(tmp_path / "p_ref.csv", signals)
+        assert proj.read_bytes() == (tmp_path / "p_ref.csv").read_bytes()
+        capsys.readouterr()
+
+    def test_synth_batches_split_at_whole_blocks(self):
+        spec = mcca.SynthSpec(seed=1, dims=(16, 16), n_exemplars=3 * self.B + 1, n_components=1)
+        _, batches = mcca.synth.row_batches(spec)
+        rows = [len(lat) for lat, _ in batches]
+        assert rows == [self.B, self.B, self.B + 1]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+def test_peak_memory_does_not_grow_with_t(tmp_path):
+    """Each command's peak resident set at 8 T is within 2 MB of that at T.
+
+    Each command runs in a child that reports its own VmHWM: the peak of
+    its own address space, which the parent's ru_maxrss cannot give.
+    """
+    report = ("import sys; from mcca.cli import main; code = main(sys.argv[1:]); "
+              "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0], "
+              "file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def peaks(t):
+        work = tmp_path / str(t)
+        work.mkdir()
+        data, model, proj = work / "d.csv", work / "m.json", work / "p.csv"
+        dims = ("--dims", "4,4")
+        commands = {
+            "synth": ("synth", "--seed", 1, *dims, "--t", t, "--k", 2, "--snr", 4, "--output", data),
+            "fit": ("fit", "--input", data, *dims, "--k", 2, "--output", model),
+            "transform": ("transform", "--input", data, *dims, "--model", model, "--output", proj),
+            "isc": ("isc", "--input", proj, "--dims", "2,2"),
+        }
+        kib = {}
+        for name, args in commands.items():
+            proc = subprocess.run([sys.executable, "-c", report, *map(str, args)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            kib[name] = int(proc.stderr.split()[-1])
+        return kib
+
+    small, large = peaks(2000), peaks(16000)
+    growth = {name: (large[name] - small[name]) * 1024 / 1e6 for name in small}
+    print(growth)
+    assert all(mb <= 2.0 for mb in growth.values()), growth

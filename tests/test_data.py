@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcca.data
-from helpers import cov_blocks
+from helpers import cov_blocks, covariance_two_pass
 from mcca import (
     DataError,
     DimensionError,
@@ -15,7 +15,7 @@ from mcca import (
     covariance_from_matrix,
     load,
 )
-from mcca.data import block_slices
+from mcca.data import CovarianceAccumulator, block_slices
 from mcca.linalg import sym_eig
 
 
@@ -258,6 +258,69 @@ class TestChunkedCovariance:
         finally:
             tracemalloc.stop()
         assert peak < data_bytes
+
+
+class TestCovarianceAccumulator:
+    """Row batches fed to the accumulator against the two-pass oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+        chunk_rows=st.integers(1, 12),
+        t=st.integers(2, 40),
+        batch_rows=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        offsets=st.lists(st.floats(-1e8, 1e8), min_size=4, max_size=4),
+    )
+    def test_matches_two_pass_oracle(self, seed, dims, chunk_rows, t, batch_rows, offsets):
+        rng = np.random.default_rng(seed)
+        sets = [off + rng.standard_normal((t, d)) for d, off in zip(dims, offsets)]
+        x = np.hstack(sets)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcca.data, "_CHUNK_BYTES", chunk_rows * 8 * sum(dims))
+            acc = CovarianceAccumulator(dims)
+            a, i = 0, 0
+            while a < t:  # batch sizes cycle through batch_rows
+                acc.add(x[a : a + batch_rows[i % len(batch_rows)]])
+                a += batch_rows[i % len(batch_rows)]
+                i += 1
+            cov = acc.covariance()
+        ref, means = covariance_two_pass(load(sets))
+        one_chunk = t <= chunk_rows
+        if one_chunk:
+            assert np.array_equal(cov.R, ref)
+        else:
+            assert np.abs(cov.R - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(cov.R, cov.R.T)
+        assert cov.dims == tuple(dims)
+        for block, got, want in zip(sets, cov.means, means):
+            if block.shape[1] > 1 or one_chunk:
+                # numpy sums the rows of a block in order, as the
+                # accumulator does with its sums carried into each chunk
+                assert np.array_equal(got, want)
+            else:
+                # numpy sums one column pairwise, which no chunked order
+                # reproduces; the two orders differ by rounding only
+                bound = 2 * t * np.finfo(float).eps * np.abs(block).mean()
+                assert np.abs(got - want).max() <= bound
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_needs_two_rows(self, rows):
+        acc = CovarianceAccumulator((2, 1))
+        acc.add(np.ones((rows, 3)))
+        with pytest.raises(DimensionError, match=f"need at least 2 exemplars, got {rows}"):
+            acc.covariance()
+
+    def test_covariance_is_bitwise_two_pass(self):
+        # in memory, the whole data is one batch, whatever the chunk size
+        rng = np.random.default_rng(11)
+        data = load([5.0 + rng.standard_normal((50, d)) for d in (1, 3, 2)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mcca.data, "_CHUNK_BYTES", 7 * 8 * 6)
+            cov = covariance(data)
+        ref, means = covariance_two_pass(data, chunk_bytes=7 * 8 * 6)
+        assert np.array_equal(cov.R, ref)
+        assert all(np.array_equal(a, b) for a, b in zip(cov.means, means))
 
 
 class TestCovarianceFromMatrix:

@@ -474,6 +474,14 @@ class TestFitFrontend:
         with pytest.raises(DataError):
             mcca.fit(data, method="magic")
 
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    def test_covariance_blocks_fit_as_their_data(self, method):
+        data = random_instance(np.random.default_rng(23), (2, 3), 30)
+        from_data = mcca.fit(data, method=method, k=2)
+        from_cov = mcca.fit(mcca.covariance(data), method=method, k=2)
+        assert np.array_equal(from_cov.V, from_data.V)
+        assert all(np.array_equal(a, b) for a, b in zip(from_cov.means, from_data.means))
+
     @pytest.mark.parametrize(
         "opt, value",
         [("method", "nope"), ("gamma", -1.0), ("rank_tol", 2.0), ("k", 2.5), ("k", True)],

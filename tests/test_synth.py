@@ -8,7 +8,7 @@ import pytest
 import mcca
 from helpers import next_u64, normals_scalar, recovery_score_loops, uniform
 from mcca import DataError, Projections, SynthSpec, generate, isc, recovery_score
-from mcca.synth import Xoshiro256StarStar, _jump_matrix, _lane_draws, _splitmix64
+from mcca.synth import Xoshiro256StarStar, _jump_matrix, _lane_draws, _packed_jump, _splitmix64
 
 # Published reference outputs of splitmix64 for state 0.
 SPLITMIX64_SEED0 = (
@@ -143,6 +143,21 @@ class TestPrng:
         for _ in range(10):
             next_u64(stream)
         assert rng._s == stream._s == oracle._s
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 5, 64, 1000, 4099])
+    def test_jump_matches_scalar_steps(self, steps):
+        jumped = Xoshiro256StarStar(77)
+        jumped.jump(steps)
+        stepped = Xoshiro256StarStar(77)
+        for _ in range(steps):
+            next_u64(stepped)
+        assert jumped._s == stepped._s
+
+    def test_jump_cache_is_bit_packed(self):
+        for j in (0, 7, 12):
+            packed = _packed_jump(j)
+            assert packed.dtype == np.uint8 and packed.nbytes == 8192
+            assert np.array_equal(np.unpackbits(packed, axis=1), _jump_matrix(j))
 
     def test_numpy_integer_count(self):
         a = Xoshiro256StarStar(4).normals(np.int64(7))

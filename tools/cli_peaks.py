@@ -1,9 +1,10 @@
 """Peak resident memory of each shipped ``mcca`` command, one child each.
 
-Usage: python tools/cli_peaks.py
+Usage: python tools/cli_peaks.py [--t N]
 
 Runs the benchmark's ``cli`` round (``bench/workloads.py``: its ``CLI``
 shape and ``CliWorkload.e2e_round``, seed 1) in a temporary directory,
+with ``--t`` exemplars (default: the benchmark's 6000),
 with one BLAS thread: ``synth``, ``fit``, ``fit --method one-step``,
 ``transform``, and ``isc`` once per component. Each command runs in its own
 child Python process, which calls ``mcca.cli.main`` and then writes the
@@ -17,6 +18,7 @@ Linux only; ``mcca`` is imported from this checkout's src/.
 """
 
 import argparse
+import dataclasses
 import pathlib
 import subprocess
 import sys
@@ -66,10 +68,13 @@ class PeakRound:
 
 
 def main(argv=None) -> None:
-    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--t", type=int, default=workloads.CLI.n_exemplars,
+                        help="exemplar count (default %(default)s)")
+    spec = dataclasses.replace(workloads.CLI, n_exemplars=parser.parse_args(argv).t)
     print(f"{'command':<24} {'VmHWM_kB':>9} {'MB':>7}")
     with tempfile.TemporaryDirectory() as work:
-        workload = workloads.CliWorkload(workloads.CLI, SEED, work, ROOT)
+        workload = workloads.CliWorkload(spec, SEED, work, ROOT)
         workload.e2e_round(PeakRound(workload))
 
 
