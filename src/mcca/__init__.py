@@ -10,7 +10,6 @@ deterministic synthetic-data generator, CSV/JSON I/O, and a CLI.
 from .data import (
     CovarianceBlocks,
     MultiSetData,
-    block_slices,
     center,
     covariance,
     covariance_from_matrix,
@@ -25,12 +24,11 @@ from .errors import (
     UndefinedIscError,
 )
 from .fileio import load_model, read_data_csv, save_model, write_data_csv
-from .linalg import SymEig, general_eig_real, sym_eig
+from .linalg import general_eig_real, sym_eig
 from .metrics import IscBreakdown, Projections, isc, isc_from_cov, transform
 from .solver import (
     MccaModel,
     RegularizationRecord,
-    WhitenedBasis,
     fit,
     fit_one_step,
     fit_two_step,
@@ -53,12 +51,9 @@ __all__ = [
     "Projections",
     "RankDeficiencyError",
     "RegularizationRecord",
-    "SymEig",
     "SynthResult",
     "SynthSpec",
     "UndefinedIscError",
-    "WhitenedBasis",
-    "block_slices",
     "center",
     "covariance",
     "covariance_from_matrix",

@@ -25,7 +25,7 @@ from . import fileio
 from .data import CovarianceAccumulator, _check_dims, batch_rows, block_slices, load
 from .errors import DataError, DegeneracyError, DimensionError
 from .metrics import Projections, isc, transform
-from .solver import DEFAULT_RANK_TOL, ONE_STEP, TWO_STEP, fit
+from .solver import DEFAULT_RANK_TOL, ONE_STEP, TWO_STEP, _check_options, fit
 from .synth import SynthSpec, row_batches
 
 EXIT_OK = 0
@@ -74,11 +74,14 @@ class _Output(os.PathLike):
 @contextlib.contextmanager
 def _outputs(*paths):
     """One :class:`_Output` per path (None for None), moved onto their
-    targets when the block succeeds and removed when it fails."""
+    targets when the block succeeds and removed when it fails. DataError
+    if two of them would replace the same file."""
     outs = []
     try:
         for path in paths:
-            outs.append(None if path is None else _Output(path))
+            outs.append(out := None if path is None else _Output(path))
+            if getattr(out, "target", None) in [o.target for o in outs[:-1] if o and o.target]:
+                raise DataError(f"{path}: another output is the same file, {out.target}")
         yield outs
         for out in outs:
             if out is not None and out.target is not None:
@@ -125,6 +128,7 @@ def _covariance(args):
 
 
 def cmd_fit(args) -> int:
+    _check_options(args.method, args.rank_tol, args.gamma, args.k)
     with _outputs(args.output) as (output,):
         model = fit(_covariance(args), method=args.method, rank_tol=args.rank_tol,
                     gamma=args.gamma, k=args.k)

@@ -14,7 +14,7 @@ CLI makes and projects rows.
 """
 
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -228,14 +228,19 @@ class CovarianceAccumulator:
         self._fill = 0
 
     def add(self, rows: np.ndarray) -> None:
-        """Add a batch of finite rows, ``total_dim`` columns each."""
+        """Add a 2-D batch of finite rows, ``total_dim`` columns each (zero or
+        one row is fine); otherwise DimensionError or DataError names the row batch."""
+        rows = to_float64(rows, "row batch")
+        if rows.ndim != 2 or rows.shape[1] != len(self.sums):
+            raise DimensionError(f"row batch has shape {rows.shape}, not (rows, {len(self.sums)})")
+        if not np.isfinite(rows).all():
+            raise DataError("row batch contains non-finite entries")
         cap = len(self._buf) - 1
-        start = 0
-        while start < len(rows):
-            take = min(len(rows) - start, cap - self._fill)
-            self._buf[1 + self._fill : 1 + self._fill + take] = rows[start : start + take]
+        while len(rows):
+            take = min(len(rows), cap - self._fill)
+            self._buf[1 + self._fill : 1 + self._fill + take] = rows[:take]
             self._fill += take
-            start += take
+            rows = rows[take:]
             if self._fill == cap:
                 self._flush()
 
@@ -270,20 +275,17 @@ class CovarianceAccumulator:
             self.comoment += chunk.T @ chunk
         self.count, self.sums = count, sums
 
-    def covariance(self, means: tuple | None = None) -> CovarianceBlocks:
-        """R of every row added, symmetrized so R == R.T holds exactly.
-
-        ``means`` replaces the accumulated column means in the result.
-        DimensionError if fewer than 2 rows were added.
+    def covariance(self) -> CovarianceBlocks:
+        """R of every row added, symmetrized so R == R.T holds exactly, and
+        the column means. DimensionError if fewer than 2 rows were added.
         """
         self._flush()
         if self.count < 2:
             raise DimensionError(f"need at least 2 exemplars, got {self.count}")
-        if means is None:
-            mean = self.sums / self.count
-            means = [mean[sl] for sl in self._slices]
+        mean = self.sums / self.count
         r = 0.5 * (self.comoment + self.comoment.T)
-        return CovarianceBlocks(R=_freeze(r), dims=self.dims, means=tuple(map(_freeze, means)))
+        means = tuple(_freeze(mean[sl]) for sl in self._slices)
+        return CovarianceBlocks(R=_freeze(r), dims=self.dims, means=means)
 
 
 def covariance(data: MultiSetData) -> CovarianceBlocks:
@@ -297,12 +299,11 @@ def covariance(data: MultiSetData) -> CovarianceBlocks:
     buffer. Centered data keeps its ``means`` and is taken as centered.
     """
     acc = CovarianceAccumulator(data.dims, data.n_exemplars)
-    if data.centered:
-        sums = np.zeros(data.total_dim)
-    else:
-        sums = np.concatenate([block.sum(axis=0) for block in data.sets])
-    acc._fold(data.sets, sums)
-    return acc.covariance(data.means)
+    if not data.centered:
+        acc._fold(data.sets, np.concatenate([block.sum(axis=0) for block in data.sets]))
+        return acc.covariance()
+    acc._fold(data.sets, np.zeros(data.total_dim))
+    return replace(acc.covariance(), means=data.means)
 
 
 def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:

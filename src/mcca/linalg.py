@@ -3,10 +3,9 @@
 The heavy numerical work is delegated to LAPACK through numpy; this module
 pins down the conventions everything else relies on: validated float64
 inputs, eigenvalues sorted in descending order, and a deterministic sign
-for every eigenvector column so repeated runs produce identical bits.
+for every eigenvector column, so repeated runs at a fixed BLAS thread count
+produce identical bits (the thread count can change the last bits).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,18 +61,6 @@ def fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-@dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition of a symmetric matrix.
-
-    ``values`` are sorted descending; column ``i`` of ``vectors`` pairs with
-    ``values[i]`` and the columns form an orthonormal set.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def symmetrized(a: np.ndarray, name: str) -> np.ndarray:
     """``(a + a.T) / 2``; DataError if ``a`` is asymmetric beyond ``SYMMETRY_RTOL``.
 
@@ -92,13 +79,15 @@ def symmetrized(a: np.ndarray, name: str) -> np.ndarray:
     return half + half.T
 
 
-def sym_eig(a, name: str = "matrix") -> SymEig:
+def sym_eig(a, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix.
 
-    The input must be square and symmetric to within ``SYMMETRY_RTOL``
-    relative to its largest entry; it is symmetrized by averaging with its
-    transpose before factorization, so tiny roundoff asymmetry is harmless.
-    Output is deterministic for identical input bits.
+    Returns ``(values, vectors)``: values descending, and column ``i`` of
+    the orthonormal ``vectors`` paired with ``values[i]``. The input must be
+    square and symmetric to within ``SYMMETRY_RTOL`` relative to its largest
+    entry; it is symmetrized by averaging with its transpose before
+    factorization, so tiny roundoff asymmetry is harmless. Output is
+    deterministic for identical input bits at a fixed BLAS thread count.
     """
     a = as_matrix(a, name)
     w, q = np.linalg.eigh(symmetrized(a, name))
@@ -106,7 +95,7 @@ def sym_eig(a, name: str = "matrix") -> SymEig:
     values = np.ascontiguousarray(w[::-1])
     vectors = np.ascontiguousarray(q[:, ::-1])
     fix_column_signs(vectors)
-    return SymEig(values=values, vectors=vectors)
+    return values, vectors
 
 
 def general_eig_real(a) -> tuple[np.ndarray, np.ndarray]:

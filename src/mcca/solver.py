@@ -123,10 +123,20 @@ def _check_k(k) -> None:
         raise DimensionError(f"k must be at least 1, got {k}")
 
 
+def _check_options(method: str, rank_tol: float, gamma: float, k: int | None) -> None:
+    """DataError or DimensionError for an option of :func:`fit` that it would refuse."""
+    if method not in (TWO_STEP, ONE_STEP):
+        raise DataError(f"unknown method {method!r}; expected {TWO_STEP!r} or {ONE_STEP!r}")
+    _check_gamma(gamma)
+    _check_rank_tol(rank_tol)
+    _check_k(k)
+
+
 def _diag_eigs(r: np.ndarray, dims: tuple):
-    """Yield ``(l, slice, sym_eig of the diagonal block of r)`` per set l."""
+    """Yield ``(l, slice, values, vectors)``, the :func:`sym_eig` of the
+    diagonal block of r, per set l."""
     for l, sl in enumerate(block_slices(dims)):
-        yield l, sl, sym_eig(r[sl, sl], name=f"diagonal block of set {l + 1}")
+        yield l, sl, *sym_eig(r[sl, sl], name=f"diagonal block of set {l + 1}")
 
 
 def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: float = 0.0) -> WhitenedBasis:
@@ -141,16 +151,16 @@ def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: flo
     slices = block_slices(cov.dims)
     r_reg = cov.R + gamma * np.eye(cov.total_dim)
     eigvals, ranks, maps = [], [], []
-    for l, _, e in _diag_eigs(r_reg, cov.dims):
+    for l, _, w, q in _diag_eigs(r_reg, cov.dims):
         degenerate = f"data set {l + 1} of {cov.n_sets} is degenerate"
-        if e.values[0] <= 0.0:
+        if w[0] <= 0.0:
             raise DegenerateSetError(f"{degenerate}: its covariance block is zero")
-        r = int(np.count_nonzero(e.values > rank_tol * e.values[0]))
+        r = int(np.count_nonzero(w > rank_tol * w[0]))
         if r == 0:
             raise DegenerateSetError(f"{degenerate}: all variance falls below the rank tolerance")
-        eigvals.append(e.values)
+        eigvals.append(w)
         ranks.append(r)
-        maps.append(e.vectors[:, :r] / np.sqrt(e.values[:r]))
+        maps.append(q[:, :r] / np.sqrt(w[:r]))
     wslices = block_slices(ranks)
     total = sum(ranks)
     # rtilde = M'(R + gamma I)M for the block diagonal M of the maps, one
@@ -196,15 +206,14 @@ def fit_two_step(
     """
     _check_k(k)
     wb = whiten(cov, rank_tol=rank_tol, gamma=gamma)
-    e = sym_eig(wb.rtilde, name="whitened covariance")
-    total = int(e.values.shape[0])
-    v = np.zeros((cov.total_dim, total))
+    values, vectors = sym_eig(wb.rtilde, name="whitened covariance")
+    v = np.zeros((cov.total_dim, len(values)))
     slices = block_slices(cov.dims)
     wslices = block_slices(wb.ranks)
     for l in range(cov.n_sets):
-        v[slices[l], :] = wb.maps[l] @ e.vectors[wslices[l], :]
+        v[slices[l], :] = wb.maps[l] @ vectors[wslices[l], :]
     reg = RegularizationRecord(gamma=float(gamma), rank_tol=float(rank_tol), ranks=wb.ranks)
-    return _finish(cov, e.values, v, k, TWO_STEP, reg)
+    return _finish(cov, values, v, k, TWO_STEP, reg)
 
 
 def fit_one_step(
@@ -224,15 +233,15 @@ def fit_one_step(
     _check_k(k)
     r_reg = cov.R + gamma * np.eye(cov.total_dim)
     m = np.empty_like(r_reg)
-    for l, sl, e in _diag_eigs(r_reg, cov.dims):
+    for l, sl, w, q in _diag_eigs(r_reg, cov.dims):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            inverse = (e.vectors / e.values) @ e.vectors.T
-        singular = e.values[0] <= 0.0 or e.values[-1] <= PD_RTOL * e.values[0]
+            inverse = (q / w) @ q.T
+        singular = w[0] <= 0.0 or w[-1] <= PD_RTOL * w[0]
         if singular or not np.isfinite(inverse).all():
             cause = "is singular" if singular else "has an inverse that overflows"
             raise RankDeficiencyError(
                 f"diagonal covariance block of data set {l + 1} {cause} (smallest "
-                f"eigenvalue {e.values[-1]:.3e} vs largest {e.values[0]:.3e}); "
+                f"eigenvalue {w[-1]:.3e} vs largest {w[0]:.3e}); "
                 "use fit_two_step or gamma > 0"
             )
         m[sl, :] = inverse @ r_reg[sl, :]
@@ -253,13 +262,9 @@ def fit(
     ``data`` is multi-set data, which is centered and reduced to its
     covariance blocks, or covariance blocks built already (as ``mcca fit``
     accumulates them from its input). The options are checked, on either
-    route, before the covariance is built.
+    route, before the covariance is built, by :func:`_check_options`.
     """
-    if method not in (TWO_STEP, ONE_STEP):
-        raise DataError(f"unknown method {method!r}; expected {TWO_STEP!r} or {ONE_STEP!r}")
-    _check_gamma(gamma)
-    _check_rank_tol(rank_tol)
-    _check_k(k)
+    _check_options(method, rank_tol, gamma, k)
     cov = data if isinstance(data, CovarianceBlocks) else covariance(data)
     if method == TWO_STEP:
         return fit_two_step(cov, rank_tol=rank_tol, gamma=gamma, k=k)

@@ -132,6 +132,14 @@ def _jump_matrix(j: int) -> np.ndarray:
     return np.unpackbits(_packed_jump(j), axis=1).astype(np.float32)
 
 
+def _advance(bits: np.ndarray, steps: int) -> np.ndarray:
+    """L x 256 bit-row states ``steps`` >= 0 steps on: one jump-matrix product per set bit."""
+    for j in range(steps.bit_length()):
+        if steps >> j & 1:
+            bits = _mod2(bits @ _jump_matrix(j))
+    return bits
+
+
 def _lane_draws(state: list, n: int) -> tuple:
     """The next ``n`` >= 1 outputs of the stream at ``state``, and the state after.
 
@@ -146,11 +154,8 @@ def _lane_draws(state: list, n: int) -> tuple:
     steps = 1 << p
     lanes = -(-n // steps)
     starts = _to_bits(np.array(state, dtype=np.uint64).reshape(4, 1))
-    j = p
-    while len(starts) < lanes:
-        jumped = starts[: lanes - len(starts)] @ _jump_matrix(j)
-        starts = np.vstack([starts, _mod2(jumped)])
-        j += 1
+    while len(starts) < lanes:  # len(starts) * S is a power of two: one product
+        starts = np.vstack([starts, _advance(starts[: lanes - len(starts)], len(starts) * steps)])
     s = _from_bits(starts)
     out = np.empty((steps, lanes), dtype=np.uint64)
     last = n - (lanes - 1) * steps  # steps the last lane takes within n
@@ -177,11 +182,8 @@ class Xoshiro256StarStar:
         self._s = [next(sm) for _ in range(4)]
 
     def jump(self, steps: int) -> None:
-        """Skip ``steps`` >= 0 outputs: one jump-matrix product per set bit."""
-        bits = _to_bits(np.array(self._s, dtype=np.uint64).reshape(4, 1))
-        for j in range(steps.bit_length()):
-            if steps >> j & 1:
-                bits = _mod2(bits @ _jump_matrix(j))
+        """Skip ``steps`` >= 0 outputs."""
+        bits = _advance(_to_bits(np.array(self._s, dtype=np.uint64).reshape(4, 1)), steps)
         self._s = _from_bits(bits)[:, 0].tolist()
 
     def normals(self, count: int) -> np.ndarray:

@@ -15,14 +15,14 @@ import mcca
 
 def cov_blocks(cov):
     """``cov_blocks(cov)[l][k]``: the d_l x d_k block (l, k) of ``cov.R``, as a view."""
-    slices = mcca.block_slices(cov.dims)
+    slices = mcca.data.block_slices(cov.dims)
     return tuple(tuple(cov.R[sl, sk] for sk in slices) for sl in slices)
 
 
 def dense_d(cov):
     """D as a dense matrix: the diagonal blocks of ``cov.R``, zero elsewhere."""
     d = np.zeros_like(cov.R)
-    for sl in mcca.block_slices(cov.dims):
+    for sl in mcca.data.block_slices(cov.dims):
         d[sl, sl] = cov.R[sl, sl]
     return d
 
@@ -43,7 +43,7 @@ def covariance_two_pass(data, chunk_bytes=8 << 20):
     r = np.zeros((data.total_dim, data.total_dim))
     for a in range(0, data.n_exemplars, rows):
         chunk = buf[: min(rows, data.n_exemplars - a)]
-        for block, shift, sl in zip(data.sets, shifts, mcca.block_slices(data.dims)):
+        for block, shift, sl in zip(data.sets, shifts, mcca.data.block_slices(data.dims)):
             np.subtract(block[a : a + rows], shift, out=chunk[:, sl])
         r += chunk.T @ chunk
     return 0.5 * (r + r.T), means
@@ -69,7 +69,7 @@ def save_model_json_dump(model, path):
         "lambda": model.lambdas.tolist(),
         "rho_analytic": model.rho_analytic.tolist(),
         "rho_empirical": np.where(np.isnan(rho_e), None, rho_e).tolist(),
-        "V": [model.V[sl, :].tolist() for sl in mcca.block_slices(model.dims)],
+        "V": [model.V[sl, :].tolist() for sl in mcca.data.block_slices(model.dims)],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, allow_nan=False)
@@ -166,7 +166,7 @@ def isc_from_cov_loops(cov, v):
     Returns (r_between, r_within, rho); rho is NaN where the projected
     within-set variance is at or below the library's variance floor.
     """
-    parts = [v[sl] for sl in mcca.block_slices(cov.dims)]
+    parts = [v[sl] for sl in mcca.data.block_slices(cov.dims)]
     blocks = cov_blocks(cov)
     n = cov.n_sets
     r_within = 0.0
@@ -193,7 +193,7 @@ def stationarity_residual_loops(cov, model, n):
     """Stationarity residual of component n by the literal per-block loops."""
     gamma = model.reg.gamma
     rho = float(model.rho_analytic[n])
-    parts = [model.V[sl, n] for sl in mcca.block_slices(cov.dims)]
+    parts = [model.V[sl, n] for sl in mcca.data.block_slices(cov.dims)]
     blocks = cov_blocks(cov)
     n_sets = cov.n_sets
     worst = 0.0

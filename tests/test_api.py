@@ -14,12 +14,9 @@ PUBLIC_NAMES = [
     "Projections",
     "RankDeficiencyError",
     "RegularizationRecord",
-    "SymEig",
     "SynthResult",
     "SynthSpec",
     "UndefinedIscError",
-    "WhitenedBasis",
-    "block_slices",
     "center",
     "covariance",
     "covariance_from_matrix",

@@ -149,6 +149,22 @@ class TestFit:
         _, rows = parse_table(out)
         assert len(rows) == 1
 
+    @pytest.mark.parametrize(
+        "option, match",
+        [
+            (("--k", 0), "k must be at least 1, got 0"),
+            (("--gamma", -1), "gamma must be a finite number >= 0"),
+            (("--rank-tol", 2), "rank_tol must lie strictly between 0 and 1"),
+        ],
+    )
+    def test_options_checked_before_input_is_read(self, tmp_path, option, match):
+        data, model = tmp_path / "bad.csv", tmp_path / "m.json"
+        data.write_text("1,2\n3,4\n1,x\n5,6\n")  # line 3 is malformed
+        code, _, err = run_cli("fit", "--input", data, "--dims", "1,1", *option, "--output", model)
+        assert code == 2
+        assert match in err and "line 3" not in err
+        assert not model.exists()
+
     def test_bad_flag_exit_2(self, tmp_path):
         code, _, _ = run_cli("fit", "--nonsense", "x")
         assert code == 2
@@ -366,11 +382,12 @@ class TestSynth:
         assert str(paths[flag]) in err
 
     def test_n_must_match_dims(self, tmp_path):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             "synth", "--n", 3, "--dims", "2,2", "--t", 10,
             "--output", tmp_path / "d.csv",
         )
         assert code == 2
+        assert "--n 3 disagrees with --dims, which lists 2 sets" in err
 
     def test_end_to_end_fit(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -430,6 +447,12 @@ SYNTH_SHA256 = {
     "latents": "c813ce31a828453967879ab2fceaf1c4f02d17b8d72dfaebe7e704ce7ccefa35",
 }
 README_PROJ_SHA256 = "8dc4c036ebbb92a34e5a8d2c37156d176fdb50c921e8388df3fa2920ea55b755"
+# the model files fitted on the README's demo.csv, by their fit options
+README_MODEL_SHA256 = {
+    "--k 3": "e666e1a306dcb3b9968a2d188102c0e162b4be8a1805ca8c646570401dfc53ed",
+    "--method one-step --k 3": "5d268d86e52a5e8a9a40cc82160b4d3dad6ce970bf55ed3b3c8bfc966cfb6296",
+    "--method one-step --gamma 3": "5a85a4208aad7ac43d2aac3b67b6895a07a10eb655c8c45455fcadbffb1641e2",
+}
 
 
 def sha256(path):
@@ -458,6 +481,19 @@ class TestOutputBytes:
             code, _, err = run_cli(*args)
             assert code == 0, err
         assert sha256(proj) == README_PROJ_SHA256
+
+    def test_readme_models(self, tmp_path):
+        data, model = tmp_path / "demo.csv", tmp_path / "model.json"
+        code, _, err = run_cli("synth", "--seed", 7, "--n", 3, "--dims", "4,4,4", "--t", 2000,
+                               "--k", 2, "--snr", 10, "--output", data)
+        assert code == 0, err
+        digests = {}
+        for options in README_MODEL_SHA256:
+            code, _, err = run_cli("fit", "--input", data, "--dims", "4,4,4", *options.split(),
+                                   "--output", model)
+            assert code == 0, err
+            digests[options] = sha256(model)
+        assert digests == README_MODEL_SHA256
 
 
 class TestNoPartialOutputs:
@@ -511,7 +547,24 @@ class TestNoPartialOutputs:
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
     def test_device_written_in_place(self, tmp_path):
         assert run_cli("synth", "--dims", "2,2", "--t", 10, "--output", "/dev/null")[0] == 0
+        assert run_cli("synth", "--dims", "2,2", "--t", 10, "--output", "/dev/null",
+                       "--latents", "/dev/null")[0] == 0
         assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+    @pytest.mark.parametrize("alias", [False, True], ids=["same-path", "symlink"])
+    def test_synth_refuses_one_file_for_both_outputs(self, tmp_path, alias):
+        out = tmp_path / "d.csv"
+        out.write_bytes(b"old")
+        latents = out
+        if alias:
+            latents = tmp_path / "link.csv"
+            latents.symlink_to(out.name)
+        code, _, err = run_cli("synth", "--dims", "2,2", "--t", 10, "--output", out,
+                               "--latents", latents)
+        assert code == 2
+        assert f"{latents}: another output is the same file, {os.path.realpath(out)}" in err
+        assert out.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "link.csv"][: 1 + alias]
 
     def test_link_target_replaced(self, tmp_path):
         target, link = tmp_path / "d.csv", tmp_path / "link.csv"

@@ -171,7 +171,7 @@ class TestCovariance:
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(5)
         cov = covariance(load([rng.standard_normal((10, 4)), rng.standard_normal((10, 4))]))
-        values = sym_eig(cov.R).values
+        values, _ = sym_eig(cov.R)
         assert values[-1] >= -1e-8 * values[0]
 
     def test_d_is_block_diagonal_part(self):
@@ -311,6 +311,24 @@ class TestCovarianceAccumulator:
         with pytest.raises(DimensionError, match=f"need at least 2 exemplars, got {rows}"):
             acc.covariance()
 
+    @pytest.mark.parametrize(
+        "rows, error, match",
+        [
+            (np.ones(3), DimensionError, r"row batch has shape \(3,\), not \(rows, 3\)"),
+            (np.ones((3, 4)), DimensionError, r"row batch has shape \(3, 4\), not \(rows, 3\)"),
+            ([[1.0, np.nan, 2.0]], DataError, "row batch contains non-finite entries"),
+        ],
+        ids=["1-D", "4-columns", "NaN"],
+    )
+    def test_bad_batch_refused_and_not_added(self, rows, error, match):
+        good = np.random.default_rng(4).standard_normal((5, 3))
+        acc, ref = CovarianceAccumulator((2, 1)), CovarianceAccumulator((2, 1))
+        acc.add(good)
+        ref.add(good)
+        with pytest.raises(error, match=match):
+            acc.add(rows)
+        assert np.array_equal(acc.covariance().R, ref.covariance().R)
+
     def test_covariance_is_bitwise_two_pass(self):
         # in memory, the whole data is one batch, whatever the chunk size
         rng = np.random.default_rng(11)
@@ -376,6 +394,11 @@ class TestCovarianceFromMatrix:
     def test_non_iterable_means_named(self, means):
         with pytest.raises(DataError, match="means must be a sequence of vectors"):
             covariance_from_matrix(np.eye(4) + 0.5, (2, 2), means=means)
+
+    @pytest.mark.parametrize("means", [[np.zeros(3), np.zeros(1)], [np.zeros(2)]])
+    def test_means_must_match_dims(self, means):
+        with pytest.raises(DimensionError, match="means do not match dims"):
+            covariance_from_matrix(np.eye(4), (2, 2), means=means)
 
     def test_means_not_aliased(self):
         mu = np.array([1.0, 2.0])

@@ -436,6 +436,12 @@ class TestModelFile:
         with pytest.raises(DataError, match="JSON"):
             load_model(path)
 
+    def test_json_not_an_object(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DataError, match="model file must hold a JSON object"):
+            load_model(path)
+
     def test_not_utf8_names_path(self, tmp_path):
         path = tmp_path / "m.json"
         save_model(self.make_model(), path)
@@ -519,6 +525,7 @@ class TestModelFile:
         (("reg", "rank_tol"), [], "rank_tol must be a finite number or null"),
         (("reg", "rank_tol"), float("nan"), "rank_tol must be a finite number or null"),
         (("reg", "ranks"), [1.5, 2], "ranks must be a list of integers"),
+        (("V",), [[[0.0]]], "V has 1 blocks for 2 sets"),
     ]
 
     @pytest.mark.parametrize("where, value, match", BAD_STRUCTURE)

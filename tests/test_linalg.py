@@ -26,24 +26,24 @@ class TestAsMatrix:
 
 class TestSymEig:
     def test_identity(self):
-        e = sym_eig(np.eye(2))
-        assert np.allclose(e.values, [1.0, 1.0])
-        assert np.allclose(e.vectors.T @ e.vectors, np.eye(2), atol=1e-12)
+        values, vectors = sym_eig(np.eye(2))
+        assert np.allclose(values, [1.0, 1.0])
+        assert np.allclose(vectors.T @ vectors, np.eye(2), atol=1e-12)
 
     def test_diagonal(self):
-        e = sym_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(e.values, [3.0, 1.0])
+        values, vectors = sym_eig(np.diag([3.0, 1.0]))
+        assert np.allclose(values, [3.0, 1.0])
         # sign convention makes the columns exactly +e1, +e2
-        assert np.allclose(np.abs(e.vectors), np.eye(2), atol=1e-12)
-        assert e.vectors[0, 0] > 0 and e.vectors[1, 1] > 0
+        assert np.allclose(np.abs(vectors), np.eye(2), atol=1e-12)
+        assert vectors[0, 0] > 0 and vectors[1, 1] > 0
 
     def test_analytic_2x2(self):
-        e = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        values, vectors = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
         s = 1.0 / np.sqrt(2.0)
-        assert np.allclose(e.values, [3.0, 1.0], atol=1e-12)
-        assert np.allclose(e.vectors[:, 0], [s, s], atol=1e-12)
+        assert np.allclose(values, [3.0, 1.0], atol=1e-12)
+        assert np.allclose(vectors[:, 0], [s, s], atol=1e-12)
         # tie on magnitude resolves to positive lowest index
-        assert np.allclose(e.vectors[:, 1], [s, -s], atol=1e-12)
+        assert np.allclose(vectors[:, 1], [s, -s], atol=1e-12)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
@@ -60,36 +60,36 @@ class TestSymEig:
 
     def test_tiny_asymmetry_tolerated(self):
         a = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
-        e = sym_eig(a)
-        assert np.allclose(e.values, [3.0, 1.0], atol=1e-9)
+        values, _ = sym_eig(a)
+        assert np.allclose(values, [3.0, 1.0], atol=1e-9)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 5, 8, 13, 20):
             a = rng.standard_normal((n, n))
             a = a + a.T
-            e = sym_eig(a)
+            values, vectors = sym_eig(a)
             scale = max(1.0, float(np.abs(a).max()))
-            recon = e.vectors @ np.diag(e.values) @ e.vectors.T
+            recon = vectors @ np.diag(values) @ vectors.T
             assert np.abs(recon - a).max() <= 1e-8 * scale
-            assert np.abs(e.vectors.T @ e.vectors - np.eye(n)).max() <= 1e-10
-            assert np.all(np.diff(e.values) <= 1e-12)
+            assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-10
+            assert np.all(np.diff(values) <= 1e-12)
 
     def test_recovers_constructed_spectrum(self):
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         lam = np.array([9.0, 6.5, 4.0, 2.5, 1.0, 0.25])
-        e = sym_eig(q @ np.diag(lam) @ q.T)
-        assert np.abs(e.values - lam).max() <= 1e-8
+        values, _ = sym_eig(q @ np.diag(lam) @ q.T)
+        assert np.abs(values - lam).max() <= 1e-8
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((7, 7))
         a = a + a.T
-        e1 = sym_eig(a)
-        e2 = sym_eig(a.copy())
-        assert np.array_equal(e1.values, e2.values)
-        assert np.array_equal(e1.vectors, e2.vectors)
+        values1, vectors1 = sym_eig(a)
+        values2, vectors2 = sym_eig(a.copy())
+        assert np.array_equal(values1, values2)
+        assert np.array_equal(vectors1, vectors2)
 
 
 class TestFixColumnSigns:
@@ -166,9 +166,9 @@ class TestGeneralEigReal:
         dmat[:2, :2] = r[:2, :2]
         dmat[2:, 2:] = r[2:, 2:]
         values, _ = general_eig_real(np.linalg.inv(dmat) @ r)
-        e = sym_eig(dmat)
-        w = e.vectors / np.sqrt(e.values)
-        ref = sym_eig(w.T @ r @ w).values
+        d_values, d_vectors = sym_eig(dmat)
+        w = d_vectors / np.sqrt(d_values)
+        ref, _ = sym_eig(w.T @ r @ w)
         assert np.abs(values - ref).max() <= 1e-7 * max(abs(ref[0]), 1.0)
 
     @staticmethod

@@ -81,6 +81,14 @@ class TestTransform:
         with pytest.raises(DimensionError, match="set 2"):
             transform(model, data)
 
+    def test_set_count_mismatch(self):
+        model = manual_model(
+            [np.ones((2, 1)), np.ones((3, 1))], [np.zeros(2), np.zeros(3)]
+        )
+        data = load([np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((4, 1))])
+        with pytest.raises(DimensionError, match="data has 3 sets, model expects 2"):
+            transform(model, data)
+
 
 class TestIsc:
     def test_identical_signals_three_sets(self):

@@ -374,6 +374,12 @@ class TestStationarityResidual:
         with pytest.raises(DimensionError, match=r"component index must be an integer in \[0, 2\)"):
             stationarity_residual(cov, model, n)
 
+    def test_covariance_dims_must_match_model(self):
+        model = fit_two_step(covariance(perfect_pair()))
+        cov = covariance_from_matrix(np.eye(3), (1, 2))
+        with pytest.raises(DimensionError, match="covariance dims do not match model dims"):
+            stationarity_residual(cov, model, 0)
+
     def test_numpy_integer_index(self):
         cov = covariance(perfect_pair())
         model = fit_two_step(cov)
