@@ -257,6 +257,3 @@ def main(argv=None) -> int:
             return EXIT_DEGENERATE
         return EXIT_USAGE if isinstance(exc, (ValueError, OSError)) else EXIT_OTHER
 
-
-if __name__ == "__main__":
-    sys.exit(main())

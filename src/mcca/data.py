@@ -6,15 +6,15 @@ exemplars (no 1/(T-1) factor): correlations and the eigenstructure built on
 top are invariant to that common scale, and keeping raw sums makes the
 block algebra exact for integer test fixtures.
 
-R comes from one :class:`CovarianceAccumulator`, which takes rows in
-batches and never needs all T rows at once: ``covariance`` gives it the
-loaded sets as one batch, and ``mcca fit`` gives it its input's row
-batches as it reads them. ``batch_rows`` sizes the batches in which the
-CLI makes and projects rows.
+``covariance`` builds R from sets held in memory in two passes;
+:class:`CovarianceAccumulator` builds it from row batches, as ``mcca fit``
+reads them, and never needs all T rows at once. ``batch_rows`` sizes the
+batches in which the CLI makes and projects rows.
 """
 
 import mmap
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -46,6 +46,11 @@ def batch_rows(width: int) -> int:
     return 16 * min(_BATCH_BLOCKS, max(1, _BATCH_BYTES // (128 * width)))
 
 
+def _chunk_rows(width: int) -> int:
+    """Rows of ``width`` float64 columns in ``_CHUNK_BYTES``, and at least one."""
+    return max(1, _CHUNK_BYTES // (8 * width))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -59,6 +64,12 @@ def _is_int(x) -> bool:
 def _is_real(x) -> bool:
     """A Python or numpy integer or float, but not a bool."""
     return _is_int(x) or isinstance(x, (float, np.floating))
+
+
+def _is_number(x) -> bool:
+    """A finite real number; in Python scalars, so the range test is exact
+    for huge integers and casts no numpy float."""
+    return _is_real(x) and abs(int(x) if _is_int(x) else float(x)) <= sys.float_info.max
 
 
 def _sequence(x, name: str, kind: str) -> tuple:
@@ -186,45 +197,43 @@ class CovarianceBlocks:
 class CovarianceAccumulator:
     """Count, column sums and co-moment of multi-set rows, one batch at a time.
 
-    :meth:`add` copies each batch of rows (the sets' columns side by side)
-    into a buffer of at most ``_CHUNK_BYTES`` (or one row; ``max_rows``, if
-    known, can only shrink it) and folds the buffer in whenever it fills;
-    :meth:`covariance` folds in the rest and returns R. Memory is that
-    buffer and a few total_dim x total_dim arrays, whatever the number of
-    rows: 8 MiB is 1024 rows at 1024 columns, enough for full-speed BLAS.
+    What ``mcca fit`` and other batch callers use when the rows are never
+    all in memory. :meth:`add` copies each batch of rows (the sets' columns
+    side by side) into a buffer of ``_CHUNK_BYTES`` (or one row) and folds
+    the buffer in whenever it fills; :meth:`covariance` folds in the rest
+    and returns R. Memory is that buffer and a few total_dim x total_dim
+    arrays, whatever the number of rows: 8 MiB is 1024 rows at 1024
+    columns, enough for full-speed BLAS.
 
-    Folding in a chunk is the pairwise update of Chan, Golub & LeVeque
-    (1979), taken about the running mean: the chunk is centered by the mean
-    of all rows so far and its Gram product added to the co-moment, and the
-    old co-moment moves to that mean by ``L e' + e L' + count e e'``, with
-    e the change of mean and L the old rows' summed deviations from the old
-    mean. L is zero but for rounding; kept, it makes the move exact, so a
-    mean rounded at a large offset costs no accuracy. The column sums go
-    into each chunk's reduction as its first row, so the means come out as
-    numpy's ``mean(axis=0)`` of each set, bit for bit, for sets of two or
-    more columns; a one-column set's mean is numpy's only when one chunk
-    holds every row, as numpy sums a single column pairwise. With one
-    chunk, R is the two-pass centered Gram product exactly.
+    Folding in the buffer is the pairwise update of Chan, Golub & LeVeque
+    (1979), taken about the running mean: the buffered rows are centered in
+    place by the mean of all rows so far and their Gram product added to
+    the co-moment, and the old co-moment moves to that mean by
+    ``L e' + e L' + count e e'``, with e the change of mean and L the old
+    rows' summed deviations from the old mean. L is zero but for rounding;
+    kept, it makes the move exact, so a mean rounded at a large offset
+    costs no accuracy. The column sums go into each fold's reduction as the
+    buffer's first row, so the means come out as numpy's ``mean(axis=0)``
+    of each set, bit for bit, for sets of two or more columns; a one-column
+    set's mean is numpy's only when one fold takes every row, as numpy sums
+    a single column pairwise. With one fold, R is :func:`covariance`'s
+    exactly.
     """
 
-    def __init__(self, dims, max_rows: int | None = None):
-        self.dims = tuple(dims)
+    def __init__(self, dims):
+        self.dims = _check_dims(dims)
         self.count = 0
         total = sum(self.dims)
         self.sums = np.zeros(total)
         self.comoment = np.zeros((total, total))
         self.deviations = np.zeros(total)
         self._slices = block_slices(self.dims)
-        rows = max(1, _CHUNK_BYTES // (8 * total))
-        # row 0 carries the column sums into each chunk's reduction
-        shape = (1 + min(rows, max_rows or rows), total)
-        if max_rows is None:
-            # rows may never come: an anonymous map takes memory only for
-            # the rows written, where numpy would ask for huge pages for an
-            # array this large and take memory 2 MB at a time
-            self._buf = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])).reshape(shape)
-        else:
-            self._buf = np.empty(shape)
+        # row 0 carries the column sums into each fold's reduction. Rows
+        # may never come: an anonymous map takes memory only for the rows
+        # written, where numpy would ask for huge pages for an array this
+        # large and take memory 2 MB at a time
+        shape = (1 + _chunk_rows(total), total)
+        self._buf = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])).reshape(shape)
         self._fill = 0
 
     def add(self, rows: np.ndarray) -> None:
@@ -242,44 +251,34 @@ class CovarianceAccumulator:
             self._fill += take
             rows = rows[take:]
             if self._fill == cap:
-                self._flush()
+                self._fold()
 
-    def _flush(self) -> None:
+    def _fold(self) -> None:
+        """Fold the buffered rows into the count, sums, co-moment and deviations."""
         n, buf = self._fill, self._buf
         if not n:
             return
         buf[0] = self.sums
         first = 0 if self.count else 1
         sums = np.concatenate([buf[first : 1 + n, sl].sum(axis=0) for sl in self._slices])
-        self._fill = 0
-        self._fold([buf[1 : 1 + n, sl] for sl in self._slices], sums)
-        self.deviations += buf[1 : 1 + n].sum(axis=0)  # the rows _fold centered
-
-    def _fold(self, blocks: list, sums: np.ndarray) -> None:
-        """Fold in the rows of ``blocks`` (one per set); ``sums`` are the
-        column sums of every row so far, these included. The caller adds
-        the new rows' deviations, which only a later fold needs."""
-        m = blocks[0].shape[0]
-        count = self.count + m
+        count = self.count + n
         mean = sums / count
         if self.count:  # move the old rows' co-moment and deviations to the new mean
             e = self.sums / self.count - mean
             self.comoment += np.outer(self.deviations, e)
             self.comoment += np.outer(e, self.deviations + self.count * e)
             self.deviations += self.count * e
-        cap = len(self._buf) - 1
-        for a in range(0, m, cap):
-            chunk = self._buf[1 : 1 + min(cap, m - a)]
-            for block, sl in zip(blocks, self._slices):
-                np.subtract(block[a : a + cap], mean[sl], out=chunk[:, sl])
-            self.comoment += chunk.T @ chunk
-        self.count, self.sums = count, sums
+        rows = buf[1 : 1 + n]
+        rows -= mean
+        self.comoment += rows.T @ rows
+        self.deviations += rows.sum(axis=0)
+        self.count, self.sums, self._fill = count, sums, 0
 
     def covariance(self) -> CovarianceBlocks:
         """R of every row added, symmetrized so R == R.T holds exactly, and
         the column means. DimensionError if fewer than 2 rows were added.
         """
-        self._flush()
+        self._fold()
         if self.count < 2:
             raise DimensionError(f"need at least 2 exemplars, got {self.count}")
         mean = self.sums / self.count
@@ -291,19 +290,23 @@ class CovarianceAccumulator:
 def covariance(data: MultiSetData) -> CovarianceBlocks:
     """Cross-covariance blocks of (internally centered) multi-set data.
 
-    Each block is the plain sum over exemplars of centered outer products.
-    The loaded sets go into one :class:`CovarianceAccumulator` as its one
-    and only fold, with numpy's column sums of each set, so the means are
-    ``mean(axis=0)`` of each set and R is centered on them; the data is
-    never copied, only centered chunk by chunk into the accumulator's
-    buffer. Centered data keeps its ``means`` and is taken as centered.
+    Two passes over the loaded sets: the means first, numpy's
+    ``mean(axis=0)`` of each set (centered data keeps its ``means`` and is
+    not shifted), then R as the sum of the Gram products of row chunks,
+    each centered into one reused buffer of ``_CHUNK_BYTES``. The data is
+    never copied or concatenated whole.
     """
-    acc = CovarianceAccumulator(data.dims, data.n_exemplars)
-    if not data.centered:
-        acc._fold(data.sets, np.concatenate([block.sum(axis=0) for block in data.sets]))
-        return acc.covariance()
-    acc._fold(data.sets, np.zeros(data.total_dim))
-    return replace(acc.covariance(), means=data.means)
+    means = data.means if data.centered else tuple(_freeze(b.mean(axis=0)) for b in data.sets)
+    shifts = [0.0] * data.n_sets if data.centered else means
+    rows, t, total = _chunk_rows(data.total_dim), data.n_exemplars, data.total_dim
+    buf = np.empty((min(rows, t), total))  # reuses resident heap pages, unlike a map
+    r = np.zeros((total, total))
+    for a in range(0, t, rows):
+        chunk = buf[: min(rows, t - a)]
+        for block, shift, sl in zip(data.sets, shifts, block_slices(data.dims)):
+            np.subtract(block[a : a + rows], shift, out=chunk[:, sl])
+        r += chunk.T @ chunk
+    return CovarianceBlocks(R=_freeze(0.5 * (r + r.T)), dims=data.dims, means=means)
 
 
 def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:

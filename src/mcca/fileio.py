@@ -27,11 +27,10 @@ import csv
 import dataclasses
 import itertools
 import json
-import sys
 
 import numpy as np
 
-from .data import _check_dims, _freeze, _is_int, _is_real, block_slices
+from .data import _check_dims, _freeze, _is_int, _is_number, block_slices
 from .errors import DataError, DimensionError
 from .linalg import as_array
 from .solver import MccaModel, RegularizationRecord
@@ -227,11 +226,6 @@ def _require(doc: dict, key: str, path: str):
     if key not in doc:
         raise DataError(f"{path}: missing field {key!r}")
     return doc[key]
-
-
-def _is_number(x) -> bool:
-    """A finite JSON number; the comparison is exact for huge integers too."""
-    return _is_real(x) and abs(x) <= sys.float_info.max
 
 
 def _is_int_list(x) -> bool:

@@ -26,7 +26,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .data import CovarianceBlocks, MultiSetData, _freeze, _is_int, _is_real, block_slices, covariance
+from .data import CovarianceBlocks, MultiSetData, _freeze, _is_int, _is_number, _is_real, block_slices, covariance
 from .errors import (
     DataError,
     DegeneracyError,
@@ -107,7 +107,7 @@ class WhitenedBasis:
 
 
 def _check_gamma(gamma: float) -> None:
-    if not (_is_real(gamma) and np.isfinite(gamma) and gamma >= 0.0):
+    if not (_is_number(gamma) and gamma >= 0.0):
         raise DataError(f"gamma must be a finite number >= 0, got {gamma!r}")
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MultiSetData, _check_dims, _freeze, _is_int, _is_real, _sequence, batch_rows, load
+from .data import MultiSetData, _check_dims, _freeze, _is_int, _is_number, _is_real, _sequence, batch_rows, load
 from .errors import DataError
 from .linalg import as_array
 from .metrics import transform
@@ -228,8 +228,10 @@ class SynthSpec:
                 f"shared component count {self.n_components} must lie in "
                 f"[1, {min(dims)}], the smallest set dimension"
             )
-        if not (_is_real(self.snr) and self.snr >= 0.0):
-            raise DataError(f"snr must be a number >= 0, got {self.snr!r}")
+        snr = self.snr
+        if not (_is_real(snr) and snr >= 0.0 and (snr == np.inf or _is_number(snr))):
+            raise DataError(f"snr must be a number >= 0, got {snr!r}")
+        object.__setattr__(self, "snr", float(snr))
         if self.mixing is not None:
             mixing = _sequence(self.mixing, "mixing", "matrices")
             if len(mixing) != len(dims):

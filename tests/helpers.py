@@ -28,13 +28,13 @@ def dense_d(cov):
 
 
 def covariance_two_pass(data, chunk_bytes=8 << 20):
-    """``covariance`` as two passes over the loaded sets.
+    """``covariance`` as two passes over the loaded sets, written apart.
 
-    The oracle for the one-pass accumulator: this is how R was built
-    before. The column means come first (centered data keeps its
-    ``means`` and is not shifted), then each row chunk of at most
-    ``chunk_bytes`` is centered into a reused buffer and its Gram product
-    added into R.
+    The oracle that ``covariance`` must equal bit for bit and that
+    ``CovarianceAccumulator`` must match within rounding. The column
+    means come first (centered data keeps its ``means`` and is not
+    shifted), then each row chunk of at most ``chunk_bytes`` is centered
+    into a reused buffer and its Gram product added into R.
     """
     means = data.means if data.centered else [b.mean(axis=0) for b in data.sets]
     shifts = [0.0] * data.n_sets if data.centered else means

@@ -304,6 +304,11 @@ class TestCovarianceAccumulator:
                 bound = 2 * t * np.finfo(float).eps * np.abs(block).mean()
                 assert np.abs(got - want).max() <= bound
 
+    @pytest.mark.parametrize("dims", [(2,), (2, -1), 3])
+    def test_dims_rule(self, dims):
+        with pytest.raises(DataError):
+            CovarianceAccumulator(dims)
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_needs_two_rows(self, rows):
         acc = CovarianceAccumulator((2, 1))

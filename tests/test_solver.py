@@ -471,6 +471,21 @@ class TestOptionTypes:
         assert type(numpy.reg.gamma) is float and numpy.reg.gamma == 0.5
         assert mcca.fit(data, method=method, gamma=np.int64(0)).reg.gamma == 0.0
 
+    @pytest.mark.parametrize("route", [fit_two_step, fit_one_step])
+    @pytest.mark.parametrize("value", [10**20, 2**64])
+    def test_huge_integer_gamma_fits_as_its_float(self, route, value):
+        cov = covariance(random_instance(np.random.default_rng(19), (2, 2), 25))
+        model = route(cov, gamma=value)
+        assert model.reg.gamma == float(value)
+        assert np.array_equal(model.V, route(cov, gamma=float(value)).V)
+
+    @pytest.mark.parametrize("route", [mcca.fit, fit_two_step, fit_one_step, whiten])
+    @pytest.mark.parametrize("value", [-(2**63) - 1, 10**400], ids=["-2**63-1", "1e400"])
+    def test_integer_gamma_out_of_float_range_refused(self, route, value):
+        cov = covariance(random_instance(np.random.default_rng(19), (2, 2), 25))
+        with pytest.raises(DataError, match="gamma must be a finite number >= 0, got"):
+            route(cov, gamma=value)
+
 
 class TestFitFrontend:
     def test_method_dispatch(self):

@@ -193,15 +193,16 @@ class TestSynthSpec:
         with pytest.raises(DataError, match=field):
             SynthSpec(dims=(2, 2), **sizes)
 
-    @pytest.mark.parametrize("value", [True, "1", None])
+    @pytest.mark.parametrize("value", [True, "1", None, 10**400], ids=["True", "1", "None", "1e400"])
     def test_non_number_snr_named(self, value):
         with pytest.raises(DataError, match="snr"):
             SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1, snr=value)
 
-    @pytest.mark.parametrize("value", [3, 2.5, np.float32(0.5), np.float64(4.0), np.int64(2), np.inf])
+    @pytest.mark.parametrize("value", [3, 2.5, np.float32(0.5), np.float64(4.0), np.int64(2), np.inf, 2**64])
     def test_number_snr_accepted(self, value):
         spec = SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1, snr=value)
-        assert spec.snr == value
+        assert type(spec.snr) is float and spec.snr == value
+        assert all(np.isfinite(s).all() for s in generate(spec).data.sets)
 
     @pytest.mark.parametrize("value", [2.7, 2.0, True, "2", None])
     def test_non_integer_dims_named(self, value):
@@ -235,6 +236,10 @@ class TestSynthSpec:
                 n_components=1,
                 mixing=(np.ones((2, 1)), np.ones((3, 1))),
             )
+
+    def test_mixing_count_checked(self):
+        with pytest.raises(DataError, match="one mixing matrix per set is required"):
+            SynthSpec(seed=1, dims=(2, 2), n_exemplars=10, n_components=1, mixing=(np.ones((2, 1)),))
 
     def test_non_numeric_mixing_named(self):
         with pytest.raises(DataError, match="mixing matrix for set 1 is not a numeric array"):
