@@ -172,11 +172,26 @@ class CovarianceBlocks:
     sets l and k. D, the block diagonal part of R, is only ever applied
     block by block, through :meth:`d_dot`. ``means`` carries the training
     means so fitted models can be applied to new data.
+
+    Construction checks the shapes only: ``dims`` by :func:`_check_dims`,
+    which also stores them as a tuple of ints, ``R`` square of side
+    ``sum(dims)``, and one mean of length d_l per set (DataError or
+    DimensionError). Finiteness and symmetry are checked where R is made,
+    as :func:`covariance_from_matrix` does.
     """
 
     R: np.ndarray
     dims: tuple
     means: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", _check_dims(self.dims))  # as a tuple of ints
+        total = sum(self.dims)
+        if np.shape(self.R) != (total, total):
+            raise DimensionError(f"covariance must be {total}x{total}, got {np.shape(self.R)}")
+        means = _sequence(self.means, "means", "vectors")
+        if [np.shape(m) for m in means] != [(d,) for d in self.dims]:
+            raise DimensionError("means do not match dims")
 
     @property
     def n_sets(self) -> int:
@@ -318,13 +333,8 @@ def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:
     """
     dims = _check_dims(dims)
     r = symmetrized(as_matrix(r, "covariance"), "covariance")
-    total = sum(dims)
-    if r.shape != (total, total):
-        raise DimensionError(f"covariance must be {total}x{total}, got {r.shape}")
     means = _sequence([np.zeros(d) for d in dims] if means is None else means, "means", "vectors")
     means = tuple(
         _freeze(as_array(m, f"means of set {l + 1}", 1).copy()) for l, m in enumerate(means)
     )
-    if tuple(len(m) for m in means) != dims:
-        raise DimensionError("means do not match dims")
     return CovarianceBlocks(R=_freeze(r), dims=dims, means=means)

@@ -33,7 +33,7 @@ import numpy as np
 from .data import _check_dims, _freeze, _is_int, _is_number, block_slices
 from .errors import DataError, DimensionError
 from .linalg import as_array
-from .solver import MccaModel, RegularizationRecord
+from .solver import DEFAULT_RANK_TOL, MccaModel, RegularizationRecord, _check_options
 
 SCHEMA_VERSION = 1
 
@@ -222,22 +222,18 @@ def save_model(model: MccaModel, path: str) -> None:
         fh.write("\n")
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise DataError(f"{path}: missing field {key!r}")
-    return doc[key]
-
-
 def _is_int_list(x) -> bool:
     return isinstance(x, list) and all(map(_is_int, x))
 
 
-def _typed(doc: dict, key: str, path: str, kind: str, ok):
-    """``doc[key]``, or DataError naming the field unless ``ok(doc[key])``."""
-    value = _require(doc, key, path)
-    if not ok(value):
-        raise DataError(f"{path}: {key} must be {kind}, got {value!r:.60}")
-    return value
+def _typed(doc: dict, key: str, path: str, kind: str = "", ok=None):
+    """``doc[key]``; DataError naming the field if it is missing, or if ``ok``
+    is given and ``ok(doc[key])`` is false."""
+    if key not in doc:
+        raise DataError(f"{path}: missing field {key!r}")
+    if ok is not None and not ok(doc[key]):
+        raise DataError(f"{path}: {key} must be {kind}, got {doc[key]!r:.60}")
+    return doc[key]
 
 
 def _array_in(value, what: str, shape: tuple, null_ok: bool = False) -> np.ndarray:
@@ -283,37 +279,38 @@ def load_model(path: str) -> MccaModel:
             raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: model file must hold a JSON object")
-    version = _require(doc, "schema_version", path)
-    if not _is_int(version) or version != SCHEMA_VERSION:
-        raise DataError(
-            f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
-        )
+    _typed(doc, "schema_version", path, str(SCHEMA_VERSION),
+           lambda v: _is_int(v) and v == SCHEMA_VERSION)
     dims = _typed(doc, "dims", path, "a list of integers", _is_int_list)
-    try:
-        dims = _check_dims(dims)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
     method = _typed(doc, "method", path, "a string", lambda v: isinstance(v, str))
     reg_doc = _typed(doc, "reg", path, "an object", lambda v: isinstance(v, dict))
-    rank_tol = reg_doc.get("rank_tol")
-    if not (rank_tol is None or _is_number(rank_tol)):
-        raise DataError(f"{path}: rank_tol must be a finite number or null, got {rank_tol!r:.60}")
+    gamma = _typed(reg_doc, "gamma", path)
+    rank_tol = _typed(reg_doc, "rank_tol", path, "a finite number or null",
+                      lambda v: v is None or _is_number(v))
+    try:  # the rules fit applies to the values it records
+        dims = _check_dims(dims)
+        _check_options(method, DEFAULT_RANK_TOL if rank_tol is None else rank_tol, gamma)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     reg = RegularizationRecord(
-        gamma=float(_typed(reg_doc, "gamma", path, "a finite number", _is_number)),
+        gamma=float(gamma),
         rank_tol=None if rank_tol is None else float(rank_tol),
-        ranks=tuple(_typed(reg_doc, "ranks", path, "a list of integers", _is_int_list)),
+        ranks=tuple(_typed(
+            reg_doc, "ranks", path, f"a list of integers, one in [1, d_l] per set of dims {dims}",
+            lambda v: _is_int_list(v) and len(v) == len(dims) and all(0 < r <= d for r, d in zip(v, dims)),
+        )),
     )
-    lam = _require(doc, "lambda", path)
+    lam = _typed(doc, "lambda", path)
     k = len(lam) if isinstance(lam, list) else None  # None fails any shape check
     lambdas = _array_in(lam, f"{path}: lambda", (k,))
     return MccaModel(
         V=_freeze(np.vstack(_blocks_in(doc, "V", path, [(d, k) for d in dims]))),
         lambdas=lambdas,
         rho_analytic=_array_in(
-            _require(doc, "rho_analytic", path), f"{path}: rho_analytic", (k,)
+            _typed(doc, "rho_analytic", path), f"{path}: rho_analytic", (k,)
         ),
         rho_empirical=_array_in(
-            _require(doc, "rho_empirical", path), f"{path}: rho_empirical", (k,), null_ok=True
+            _typed(doc, "rho_empirical", path), f"{path}: rho_empirical", (k,), null_ok=True
         ),
         dims=dims,
         means=tuple(_blocks_in(doc, "means", path, [(d,) for d in dims])),

@@ -44,6 +44,9 @@ PD_RTOL = 1e-10
 # degenerate cluster; any orthogonal basis of the cluster's eigenspace is
 # acceptable, so the basis is fixed deterministically.
 TIE_RTOL = 1e-10
+# How far an eigenvalue may leave [0, N], where a covariance puts every
+# one, before the fit refuses it; the band of acceptance criterion 6.
+SPECTRUM_ATOL = 1e-8
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -106,30 +109,19 @@ class WhitenedBasis:
     rtilde: np.ndarray
 
 
-def _check_gamma(gamma: float) -> None:
+def _check_options(method=TWO_STEP, rank_tol=DEFAULT_RANK_TOL, gamma=0.0, k=None) -> None:
+    """DataError or DimensionError for an option of :func:`fit` that it would
+    refuse; each caller passes the options it takes."""
+    if method not in (TWO_STEP, ONE_STEP):
+        raise DataError(f"unknown method {method!r}; expected {TWO_STEP!r} or {ONE_STEP!r}")
     if not (_is_number(gamma) and gamma >= 0.0):
         raise DataError(f"gamma must be a finite number >= 0, got {gamma!r}")
-
-
-def _check_rank_tol(rank_tol: float) -> None:
     if not (_is_real(rank_tol) and 0.0 < rank_tol < 1.0):
         raise DataError(f"rank_tol must lie strictly between 0 and 1, got {rank_tol!r}")
-
-
-def _check_k(k) -> None:
     if not (k is None or _is_int(k)):
         raise DataError(f"k must be an integer, got {k!r}")
     if k is not None and k < 1:
         raise DimensionError(f"k must be at least 1, got {k}")
-
-
-def _check_options(method: str, rank_tol: float, gamma: float, k: int | None) -> None:
-    """DataError or DimensionError for an option of :func:`fit` that it would refuse."""
-    if method not in (TWO_STEP, ONE_STEP):
-        raise DataError(f"unknown method {method!r}; expected {TWO_STEP!r} or {ONE_STEP!r}")
-    _check_gamma(gamma)
-    _check_rank_tol(rank_tol)
-    _check_k(k)
 
 
 def _diag_eigs(r: np.ndarray, dims: tuple):
@@ -146,8 +138,7 @@ def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: flo
     largest eigenvalue are dropped. A set whose block has no retained
     direction at all raises :class:`DegenerateSetError` naming the set.
     """
-    _check_gamma(gamma)
-    _check_rank_tol(rank_tol)
+    _check_options(rank_tol=rank_tol, gamma=gamma)
     slices = block_slices(cov.dims)
     r_reg = cov.R + gamma * np.eye(cov.total_dim)
     eigvals, ranks, maps = [], [], []
@@ -204,7 +195,7 @@ def fit_two_step(
     -------
     MccaModel
     """
-    _check_k(k)
+    _check_options(rank_tol=rank_tol, gamma=gamma, k=k)
     wb = whiten(cov, rank_tol=rank_tol, gamma=gamma)
     values, vectors = sym_eig(wb.rtilde, name="whitened covariance")
     v = np.zeros((cov.total_dim, len(values)))
@@ -229,8 +220,7 @@ def fit_one_step(
     the two-step route or ``gamma > 0``. Kept primarily as an independent
     cross-check of :func:`fit_two_step`.
     """
-    _check_gamma(gamma)
-    _check_k(k)
+    _check_options(gamma=gamma, k=k)
     r_reg = cov.R + gamma * np.eye(cov.total_dim)
     m = np.empty_like(r_reg)
     for l, sl, w, q in _diag_eigs(r_reg, cov.dims):
@@ -305,12 +295,20 @@ def _finish(
 ) -> MccaModel:
     """Normalize, fix degenerate clusters, truncate to k, and wrap up.
 
+    For a covariance, 0 <= R + gamma I <= N (D + gamma I) in the Loewner
+    order, so an eigenvalue outside [0, N] by more than ``SPECTRUM_ATOL``
+    raises DataError: the covariance is not positive semidefinite.
     Columns are scaled to v'(D + gamma I)v = 1, with D applied block by
     block. ``rho_empirical`` of all k kept columns comes from one batched
     covariance-form ISC of V on the unregularized covariance (the diagonals
     of V'(R - D)V and V'DV), NaN where a column's projected within-set
     variance is zero.
     """
+    if values[-1] < -SPECTRUM_ATOL or values[0] > cov.n_sets + SPECTRUM_ATOL:
+        raise DataError(
+            f"covariance is not positive semidefinite: eigenvalues span "
+            f"[{values[-1]:.3e}, {values[0]:.3e}], outside [0, {cov.n_sets}]"
+        )
     q = np.einsum("ij,ij->j", vectors, cov.d_dot(vectors) + reg.gamma * vectors)
     if np.any(q <= 0.0):
         raise DegeneracyError("eigenvector with non-positive block-diagonal energy")

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import mcca
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "bench" / "workloads.py"
+CLI_PEAKS = ROOT / "tools" / "cli_peaks.py"
 
 PUBLIC_NAMES = [
     "CovarianceBlocks",
@@ -69,3 +71,36 @@ def test_benchmark_names_resolve():
         except AttributeError:
             missing.append(name)
     assert missing == []
+
+
+def test_cli_peaks_names_resolve():
+    # tools/cli_peaks.py drives the benchmark's cli round through the module
+    # ``workloads`` and a ``workload`` of its CliWorkload; both files parsed,
+    # never imported
+    peaks = ast.parse(CLI_PEAKS.read_text())
+    exprs = {ast.unparse(node) for node in ast.walk(peaks) if isinstance(node, ast.Attribute)}
+
+    def used(prefix):
+        return {e.removeprefix(prefix) for e in exprs if re.fullmatch(re.escape(prefix) + r"\w+", e)}
+
+    assert used("workloads.") >= {"CLI", "CliWorkload"}
+    assert used("workloads.CLI.") >= {"n_exemplars"}
+    assert used("workload.") >= {"child_env", "run_cli", "e2e_round"}
+
+    tree = ast.parse(WORKLOADS.read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def members(name):
+        """The fields and methods of a class of bench/workloads.py, with its bases'."""
+        node = classes[name]
+        own = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        own |= {item.target.id for item in node.body if isinstance(item, ast.AnnAssign)}
+        bases = [ast.unparse(base) for base in node.bases]
+        return own.union(*(members(base) for base in bases if base in classes))
+
+    assigned = {ast.unparse(node.targets[0]): node.value for node in tree.body
+                if isinstance(node, ast.Assign)}
+    assert used("workloads.") <= set(classes) | set(assigned)
+    assert ast.unparse(assigned["CLI"].func) == "CliSpec"
+    assert used("workloads.CLI.") <= members("CliSpec")
+    assert used("workload.") <= members("CliWorkload")

@@ -416,3 +416,32 @@ class TestCovarianceFromMatrix:
         r[0, 0] = np.nan
         with pytest.raises(DataError):
             covariance_from_matrix(r, (1, 1))
+
+
+class TestCovarianceBlocks:
+    ZEROS = (np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "r, dims, means, error, match",
+        [
+            (np.eye(5), (2, 2), ZEROS, DimensionError, r"covariance must be 4x4, got \(5, 5\)"),
+            (np.ones(4), (2, 2), ZEROS, DimensionError, r"covariance must be 4x4, got \(4,\)"),
+            (np.eye(4), (2, 2), ZEROS[:1], DimensionError, "means do not match dims"),
+            (np.eye(4), (2, 2), (np.zeros(3), np.zeros(1)), DimensionError, "means do not match dims"),
+            (np.eye(4), (2, 2), (np.zeros((2, 1)), np.zeros(2)), DimensionError, "means do not match dims"),
+            (np.eye(4), (2, 2), None, DataError, "means must be a sequence of vectors, got None"),
+            (np.eye(4), (4,), (np.zeros(4),), DataError, "need at least 2 data sets"),
+            (np.eye(4), (2, 0, 2), ZEROS, DataError, "dims entry 2 must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_shapes_checked_on_construction(self, r, dims, means, error, match):
+        # built directly, as mcca.fit accepts it, not through covariance_from_matrix
+        with pytest.raises(error, match=match):
+            mcca.data.CovarianceBlocks(R=r, dims=dims, means=means)
+
+    def test_dims_stored_as_a_tuple(self):
+        cov = mcca.data.CovarianceBlocks(R=np.eye(4), dims=[2, np.int64(2)], means=self.ZEROS)
+        assert cov.dims == (2, 2) and type(cov.dims) is tuple
+        model = mcca.fit(cov)
+        assert model.dims == (2, 2)
+        assert mcca.stationarity_residual(covariance_from_matrix(np.eye(4), (2, 2)), model, 0) < 1e-12

@@ -566,6 +566,46 @@ class TestModelFile:
         assert doc["reg"]["rank_tol"] is None
         assert load_model(path).reg.rank_tol is None
 
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("rank_tol_null", [False, True])
+    def test_every_saved_fit_loads(self, tmp_path, method, gamma, rank_tol_null):
+        model = mcca.fit(random_instance(np.random.default_rng(3), (3, 2), 25),
+                         method=method, gamma=gamma)
+        if rank_tol_null:
+            model = dataclasses.replace(model, reg=dataclasses.replace(model.reg, rank_tol=None))
+        save_model(model, tmp_path / "m.json")
+        back = load_model(tmp_path / "m.json")
+        assert (back.method, back.reg) == (model.method, model.reg)
+
+    RANKS_RULE = "ranks must be a list of integers, one in [1, d_l] per set of dims (3, 2), got "
+    FIT_RULES = [
+        (("method",), "banana", "unknown method 'banana'"),
+        (("reg", "gamma"), -3, "gamma must be a finite number >= 0, got -3"),
+        (("reg", "rank_tol"), 5.0, "rank_tol must lie strictly between 0 and 1, got 5.0"),
+        (("reg", "rank_tol"), 0, "rank_tol must lie strictly between 0 and 1, got 0"),
+        (("reg", "ranks"), [99], RANKS_RULE + "[99]"),
+        (("reg", "ranks"), [2, 3], RANKS_RULE + "[2, 3]"),
+        (("reg", "ranks"), [0, 2], RANKS_RULE + "[0, 2]"),
+        (("reg", "ranks"), [3, 2, 1], RANKS_RULE + "[3, 2, 1]"),
+        (("schema_version",), 99, "schema_version must be 1, got 99"),
+    ]
+
+    @pytest.mark.parametrize("where, value, match", FIT_RULES)
+    def test_values_fit_never_writes_refused(self, tmp_path, where, value, match):
+        # a two-step model of dims (3, 2), with one field changed
+        path = tmp_path / "m.json"
+        save_model(mcca.fit(random_instance(np.random.default_rng(3), (3, 2), 25)), path)
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: {match}")
+
 
 @pytest.fixture(scope="module")
 def wide_model():

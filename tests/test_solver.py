@@ -275,6 +275,21 @@ class TestModelInvariants:
             assert model.rho_analytic[0] <= 1.0 + 1e-8
             assert model.rho_analytic[-1] >= -1.0 / (n_sets - 1) - 1e-8
 
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    @pytest.mark.parametrize(
+        "r, dims, span",
+        [
+            ([[1, 2], [2, 1]], (1, 1), r"\[-1.000e\+00, 3.000e\+00\], outside \[0, 2\]"),
+            ([[1, 0.9, 0.9], [0.9, 1, -0.9], [0.9, -0.9, 1]], (1, 1, 1),
+             r"\[-8.000e-01, 1.900e\+00\], outside \[0, 3\]"),
+        ],
+    )
+    def test_indefinite_covariance_refused(self, method, r, dims, span):
+        # lambda of a covariance lies in [0, N]; these give rho = +-2 or lambda < 0
+        match = "covariance is not positive semidefinite: eigenvalues span " + span
+        with pytest.raises(DataError, match=match):
+            mcca.fit(covariance_from_matrix(r, dims), method=method)
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(11)
         sets = [rng.standard_normal((30, d)) for d in (3, 2, 4)]
