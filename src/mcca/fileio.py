@@ -271,7 +271,8 @@ def _blocks_in(doc: dict, key: str, path: str, shapes: list) -> list:
 
 
 def load_model(path: str) -> MccaModel:
-    """Load a model file, validating encoding, schema, shapes and finiteness."""
+    """Load a model file, validating encoding, schema, shapes, finiteness,
+    and the rules fit applies to the method and regularization it records."""
     with _open_text(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
