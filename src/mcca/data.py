@@ -6,10 +6,12 @@ exemplars (no 1/(T-1) factor): correlations and the eigenstructure built on
 top are invariant to that common scale, and keeping raw sums makes the
 block algebra exact for integer test fixtures.
 
-``covariance`` builds R from sets held in memory in two passes;
-:class:`CovarianceAccumulator` builds it from row batches, as ``mcca fit``
-reads them, and never needs all T rows at once. ``batch_rows`` sizes the
-batches in which the CLI makes and projects rows.
+``load`` copies each set and tests it for non-finite entries in one pass
+over the caller's array (:func:`linalg.finite`). ``covariance`` builds R
+from sets held in memory in two passes; :class:`CovarianceAccumulator`
+builds it from row batches, as ``mcca fit`` reads them, and never needs
+all T rows at once. ``batch_rows`` sizes the batches in which the CLI makes
+and projects rows.
 """
 
 import mmap
@@ -20,7 +22,7 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .linalg import as_array, as_matrix, symmetrized, to_float64
+from .linalg import as_array, as_matrix, finite, symmetrized, to_float64
 
 _CHUNK_BYTES = 8 << 20  # see `CovarianceAccumulator`
 _BATCH_BYTES = 1 << 20  # see `batch_rows`
@@ -130,6 +132,12 @@ def load(sets) -> MultiSetData:
     Every block must share the exemplar count T >= 2, have at least one
     column, and contain only finite values. At least two sets are required;
     inter-set correlation needs pairs of distinct sets.
+
+    A set that may share the caller's memory is copied, and the copy is
+    tested for non-finite entries in the same pass, piece by piece
+    (:func:`linalg.finite`), so each input byte is read from memory once; a
+    set that had to be converted to C-ordered float64 is tested in place.
+    The shape of a set is checked before its entries.
     """
     blocks = list(sets)
     if len(blocks) < 2:
@@ -138,9 +146,8 @@ def load(sets) -> MultiSetData:
     for l, block in enumerate(blocks):
         name = f"data set {l + 1}"
         arr = to_float64(block, name, "C")
-        if arr is block or arr.base is not None:  # may share the caller's memory
-            arr = arr.copy()
-        arr = as_array(arr.reshape(-1, 1) if arr.ndim == 1 else arr, name, 2)
+        shared = arr is block or arr.base is not None  # may share the caller's memory
+        arr = as_array(arr.reshape(-1, 1) if arr.ndim == 1 else arr, name, 2, copy=shared)
         if out and arr.shape[0] != out[0].shape[0]:
             raise DimensionError(f"{name} has {arr.shape[0]} exemplars, expected {out[0].shape[0]}")
         out.append(_freeze(arr))
@@ -257,8 +264,7 @@ class CovarianceAccumulator:
         rows = to_float64(rows, "row batch")
         if rows.ndim != 2 or rows.shape[1] != len(self.sums):
             raise DimensionError(f"row batch has shape {rows.shape}, not (rows, {len(self.sums)})")
-        if not np.isfinite(rows).all():
-            raise DataError("row batch contains non-finite entries")
+        finite(rows, "row batch")
         cap = len(self._buf) - 1
         while len(rows):
             take = min(len(rows), cap - self._fill)

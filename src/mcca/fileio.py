@@ -33,7 +33,7 @@ import numpy as np
 from .data import _check_dims, _freeze, _is_int, _is_number, block_slices
 from .errors import DataError, DimensionError
 from .linalg import as_array
-from .solver import DEFAULT_RANK_TOL, MccaModel, RegularizationRecord, _check_options
+from .solver import DEFAULT_RANK_TOL, ONE_STEP, SPECTRUM_ATOL, MccaModel, RegularizationRecord, _check_options
 
 SCHEMA_VERSION = 1
 
@@ -270,9 +270,36 @@ def _blocks_in(doc: dict, key: str, path: str, shapes: list) -> list:
     ]
 
 
+def _check_record(path: str, model: MccaModel) -> MccaModel:
+    """DataError, naming ``path`` and the field, for a record that no fit
+    writes: a one-step ``reg`` other than ``rank_tol`` null and ``ranks``
+    equal to dims; more components than ``sum(ranks)``; lambda
+    that does not fall monotonically within [-SPECTRUM_ATOL, N +
+    SPECTRUM_ATOL]; or ``rho_analytic`` other than ``_finish``'s
+    (lambda - 1) / (N - 1), bit for bit. Returns ``model``."""
+    method, dims, reg, lambdas = model.method, model.dims, model.reg, model.lambdas
+    n = len(dims)
+    if method == ONE_STEP and reg.rank_tol is not None:
+        raise DataError(f"{path}: reg.rank_tol must be null for a one-step model, got {reg.rank_tol!r}")
+    if method == ONE_STEP and reg.ranks != dims:
+        raise DataError(f"{path}: reg.ranks must equal dims {dims} for a one-step model, got {list(reg.ranks)}")
+    if len(lambdas) > sum(reg.ranks):
+        raise DataError(
+            f"{path}: lambda has {len(lambdas)} components, more than the {sum(reg.ranks)} of reg.ranks"
+        )
+    if np.any(np.diff(lambdas) > 0.0) or np.any((lambdas < -SPECTRUM_ATOL) | (lambdas > n + SPECTRUM_ATOL)):
+        raise DataError(
+            f"{path}: lambda must fall monotonically within [-{SPECTRUM_ATOL:g}, {n} + {SPECTRUM_ATOL:g}]"
+        )
+    if not np.array_equal(model.rho_analytic, (lambdas - 1.0) / (n - 1)):
+        raise DataError(f"{path}: rho_analytic must equal (lambda - 1) / {n - 1}, bit for bit")
+    return model
+
+
 def load_model(path: str) -> MccaModel:
     """Load a model file, validating encoding, schema, shapes, finiteness,
-    and the rules fit applies to the method and regularization it records."""
+    the rules fit applies to the method and regularization it records, and
+    how those tie to the spectrum (:func:`_check_record`)."""
     with _open_text(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -304,7 +331,7 @@ def load_model(path: str) -> MccaModel:
     lam = _typed(doc, "lambda", path)
     k = len(lam) if isinstance(lam, list) else None  # None fails any shape check
     lambdas = _array_in(lam, f"{path}: lambda", (k,))
-    return MccaModel(
+    return _check_record(path, MccaModel(
         V=_freeze(np.vstack(_blocks_in(doc, "V", path, [(d, k) for d in dims]))),
         lambdas=lambdas,
         rho_analytic=_array_in(
@@ -317,4 +344,4 @@ def load_model(path: str) -> MccaModel:
         means=tuple(_blocks_in(doc, "means", path, [(d,) for d in dims])),
         method=method,
         reg=reg,
-    )
+    ))

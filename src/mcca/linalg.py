@@ -16,6 +16,8 @@ SYMMETRY_RTOL = 1e-10
 # Imaginary parts above this fraction of the spectral scale mean the matrix
 # was not similar to a symmetric one.
 EIG_IMAG_RTOL = 1e-8
+# Bytes per piece of `finite`: a piece just copied is still in L2 when it is tested.
+_PIECE_BYTES = 256 << 10
 
 
 def to_float64(a, name: str, order: str = "K") -> np.ndarray:
@@ -26,20 +28,41 @@ def to_float64(a, name: str, order: str = "K") -> np.ndarray:
         raise DataError(f"{name} is not a numeric array ({exc})") from None
 
 
-def as_array(a, name: str, ndim: int) -> np.ndarray:
+def finite(arr: np.ndarray, name: str, copy: bool = False) -> np.ndarray:
+    """``arr``, or with ``copy`` a C-contiguous copy of it, once every entry
+    tests finite; DataError names ``name`` otherwise.
+
+    The one owner of the finiteness rule for arrays that enter the package.
+    It walks ``arr`` (float64, in any layout, of one or more dimensions) in
+    pieces of whole rows of about ``_PIECE_BYTES``, each copied and then
+    tested while it is still in cache, so each input byte is read from
+    memory once and no temporary is larger than a piece (or one row).
+    """
+    out = np.empty(arr.shape) if copy else arr
+    rows = max(1, _PIECE_BYTES // max(1, arr[:1].nbytes))
+    for a in range(0, len(arr), rows):
+        piece = out[a : a + rows]
+        if copy:
+            piece[...] = arr[a : a + rows]
+        if not np.isfinite(piece).all():
+            raise DataError(f"{name} contains non-finite entries")
+    return out
+
+
+def as_array(a, name: str, ndim: int, copy: bool = False) -> np.ndarray:
     """``a`` as a non-empty, finite, C-contiguous float64 array of ``ndim`` dimensions.
 
-    Copies only to convert. Errors name ``name``: DataError for an entry that
-    does not convert or is not finite, DimensionError for the shape.
+    Copies only to convert, or with ``copy``, in the same pass as the
+    :func:`finite` test. Errors name ``name``: DataError for an entry that
+    does not convert or is not finite, DimensionError for the shape, which
+    is checked first.
     """
     arr = to_float64(a, name, order="C")
     if arr.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-D, got {arr.ndim}-D")
     if arr.size == 0:
         raise DimensionError(f"{name} must be non-empty, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DataError(f"{name} contains non-finite entries")
-    return arr
+    return finite(arr, name, copy)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -271,16 +271,26 @@ def stationarity_residual(cov: CovarianceBlocks, model: MccaModel, n: int) -> fl
     comes from one product with R and one blockwise product with D.
     Returns its max-norm, normalized by the largest covariance entry and
     the vector's max-norm; near zero at a true solution.
+
+    Each set is first brought to unit scale by an exact power of two
+    2^-e_l, from the largest entry of its diagonal block: block (l, k) of
+    R is multiplied by 2^-(e_l + e_k), v_l by 2^e_l, and the ridge of
+    block l becomes gamma 4^-e_l. A solution stays a solution, and set l's
+    violation is multiplied by 2^-e_l, so the residual means the same
+    whatever the scale of each set.
     """
     _check_component(n, model.n_components)
     if cov.dims != model.dims:
         raise DimensionError("covariance dims do not match model dims")
-    gamma = model.reg.gamma
     rho = float(model.rho_analytic[n])
-    v = model.V[:, n]
-    dv = cov.d_dot(v)
-    g = (cov.R @ v - dv) / (cov.n_sets - 1) - (dv + gamma * v) * rho
-    scale = max(float(np.abs(cov.R).max()), gamma)
+    exps = [np.frexp(float(np.abs(cov.R[sl, sl]).max()))[1] // 2 for sl in block_slices(cov.dims)]
+    e = np.repeat(exps, cov.dims)
+    unit = CovarianceBlocks(R=np.ldexp(cov.R, -np.add.outer(e, e)), dims=cov.dims, means=cov.means)
+    v = np.ldexp(model.V[:, n], e)
+    gamma = np.ldexp(model.reg.gamma, -2 * e)
+    dv = unit.d_dot(v)
+    g = (unit.R @ v - dv) / (cov.n_sets - 1) - (dv + gamma * v) * rho
+    scale = max(float(np.abs(unit.R).max()), float(gamma.max()))
     vinf = float(np.abs(v).max())
     return float(np.abs(g).max()) / max(scale * vinf, np.finfo(np.float64).tiny)
 

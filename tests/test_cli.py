@@ -495,6 +495,17 @@ class TestOutputBytes:
             digests[options] = sha256(model)
         assert digests == README_MODEL_SHA256
 
+    def test_readme_models_load(self, tmp_path):
+        data, model = tmp_path / "demo.csv", tmp_path / "model.json"
+        code, _, err = run_cli("synth", "--seed", 7, "--n", 3, "--dims", "4,4,4", "--t", 2000,
+                               "--k", 2, "--snr", 10, "--output", data)
+        assert code == 0, err
+        for options in README_MODEL_SHA256:
+            code, _, err = run_cli("fit", "--input", data, "--dims", "4,4,4", *options.split(),
+                                   "--output", model)
+            assert code == 0, err
+            assert mcca.load_model(model).dims == (4, 4, 4)
+
 
 class TestNoPartialOutputs:
     """A failed command leaves no new file and every old file as it was."""

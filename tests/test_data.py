@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcca.data
+import mcca.linalg
 from helpers import cov_blocks, covariance_two_pass
 from mcca import (
     DataError,
@@ -115,6 +116,85 @@ class TestLoad:
         assert data.sets[0][0, 0] == 1.0
         with pytest.raises(ValueError):
             data.sets[0][0, 0] = 5.0
+
+
+PIECE_ROWS = mcca.linalg._PIECE_BYTES // (8 * 7)  # rows of 7 columns per piece of linalg.finite
+T_PIECES = 2 * PIECE_ROWS + 3  # two pieces and part of a third
+
+
+class TestSinglePass:
+    """load copies and tests each set piece by piece (``linalg.finite``)."""
+
+    BOUNDARY = 7 * PIECE_ROWS  # flat index of the second piece's first entry
+    WHERE = {"first": 0, "before a boundary": BOUNDARY - 1, "after a boundary": BOUNDARY, "last": -1}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", WHERE.values(), ids=WHERE.keys())
+    def test_non_finite_found_in_any_piece(self, bad, where):
+        block = np.ones((T_PIECES, 7))
+        assert len(block) % PIECE_ROWS  # the last piece is short
+        block.flat[where] = bad
+        with pytest.raises(DataError, match="data set 2 contains non-finite entries"):
+            load([np.ones((T_PIECES, 1)), block])
+
+    FORMS = {
+        "float64-c": lambda x: x,
+        "float64-1d": lambda x: x[:, 0].copy(),
+        "float32": lambda x: x.astype(np.float32),
+        "float64-fortran": np.asfortranarray,
+        "float64-c-view": lambda x: np.vstack([x, x])[3 : 3 + len(x)],
+        "float64-strided": lambda x: np.hstack([x, x])[:, ::2],
+    }
+
+    @pytest.mark.parametrize("make", FORMS.values(), ids=FORMS.keys())
+    def test_non_finite_found_in_every_form(self, make):
+        x = np.ones((T_PIECES, 7))
+        x[-1, -1] = np.nan
+        x[-1, 0] = np.nan  # the last row of the 1-D form too
+        with pytest.raises(DataError, match="data set 2 contains non-finite entries"):
+            load([np.ones(T_PIECES), make(x)])
+
+    @pytest.mark.parametrize("make", FORMS.values(), ids=FORMS.keys())
+    def test_loaded_bits_layout_and_ownership(self, make):
+        x = np.random.default_rng(5).standard_normal((T_PIECES, 7))
+        x[0, :3] = -0.0, 5e-324, -1e30
+        block = make(x)
+        want = np.asarray(block, dtype=np.float64).reshape(T_PIECES, -1)
+        data = load([block, block])
+        for s in data.sets:
+            assert s.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            assert s.flags.c_contiguous and not s.flags.writeable
+            assert not np.shares_memory(s, block)
+        assert block.flags.writeable
+
+    @pytest.mark.parametrize(
+        "block, match",
+        [
+            (np.full((3, 2, 1), np.nan), "data set 1 must be 2-D, got 3-D"),
+            (np.empty((3, 0)), r"data set 1 must be non-empty, got shape \(3, 0\)"),
+            (np.empty(0), r"data set 1 must be non-empty, got shape \(0, 1\)"),
+        ],
+        ids=["3-D", "no columns", "1-D empty"],
+    )
+    def test_shape_refused_before_any_finiteness_test(self, monkeypatch, block, match):
+        def never(*args, **kwargs):
+            raise AssertionError("finiteness tested before the shape")
+
+        monkeypatch.setattr(mcca.linalg, "finite", never)
+        with pytest.raises(DimensionError, match=match):
+            load([block, np.full((3, 1), np.nan)])
+
+    def test_accumulator_takes_no_row_of_a_refused_batch(self):
+        acc = CovarianceAccumulator((2, 1))
+        rows = np.ones((3 * PIECE_ROWS, 3))  # more than one piece
+        rows[-1, -1] = np.nan
+        with pytest.raises(DataError, match="row batch contains non-finite entries"):
+            acc.add(rows)
+        assert (acc.count, acc._fill) == (0, 0)
+        acc.add(np.ones((0, 3)))
+        assert (acc.count, acc._fill) == (0, 0)
+        acc.add(np.ones((1, 3)))
+        assert (acc.count, acc._fill) == (0, 1)
 
 
 class TestCenter:

@@ -10,6 +10,8 @@ The other is a DegeneracyError whose message names the set at fault,
 always set 1 here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,15 @@ def test_scaled_set_keeps_the_spectrum(factor, method):
     base = mcca.fit(mcca.load(scaled_set(1.0)), method=method)
     model = mcca.fit(mcca.load(scaled_set(factor)), method=method)
     assert np.abs(model.lambdas - base.lambdas).max() <= BOUND
+
+
+@pytest.mark.parametrize("method", ["two-step", "one-step"])
+@pytest.mark.parametrize("factor", [1e-150, 1.0, 1e150])
+def test_stationarity_residual_tells_right_from_wrong_at_any_scale(factor, method):
+    cov = mcca.covariance(mcca.load(scaled_set(factor)))
+    model = mcca.fit(cov, method=method)
+    v = model.V.copy()
+    v[cov.dims[0] :] *= 1.5  # the rows of the sets not scaled
+    wrong = dataclasses.replace(model, V=v)
+    assert mcca.stationarity_residual(cov, model, 0) <= BOUND
+    assert mcca.stationarity_residual(cov, wrong, 0) > 1e-2

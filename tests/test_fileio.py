@@ -606,6 +606,67 @@ class TestModelFile:
             load_model(path)
         assert str(exc.value).startswith(f"{path}: {match}")
 
+    def test_rank_truncated_fit_loads(self, tmp_path):
+        data = random_instance(np.random.default_rng(3), (3, 2), 25)
+        x = np.hstack([data.sets[0], data.sets[0][:, :1]])  # a duplicated column
+        model = mcca.fit(mcca.load([x, data.sets[1]]))
+        assert (model.dims, model.reg.ranks, model.n_components) == ((4, 2), (3, 2), 5)
+        save_model(model, tmp_path / "m.json")
+        back = load_model(tmp_path / "m.json")
+        assert back.reg == model.reg and np.array_equal(back.lambdas, model.lambdas)
+
+    def test_one_step_record_edited_to_two_step_ranks_refused(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(mcca.fit(random_instance(np.random.default_rng(3), (3, 2), 25),
+                            method="one-step"), path)
+        doc = json.loads(path.read_text())
+        doc["reg"].update(rank_tol=1e-9, ranks=[1, 1])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: reg.rank_tol must be null for a one-step model, got 1e-09"
+
+    def set_lambda(n, value):
+        def edit(doc):
+            doc["lambda"][n] = value
+
+        return edit
+
+    def swap_lambda(doc):
+        doc["lambda"][:2] = doc["lambda"][1::-1]
+
+    def nudge_rho(doc):
+        doc["rho_analytic"][0] = float(np.nextafter(doc["rho_analytic"][0], 2.0))
+
+    MONOTONE = "lambda must fall monotonically within [-1e-08, 2 + 1e-08]"
+    RECORD_RULES = [
+        ("one-step", lambda doc: doc["reg"].update(ranks=[3, 1]),
+         "reg.ranks must equal dims (3, 2) for a one-step model, got [3, 1]"),
+        ("two-step", lambda doc: doc["reg"].update(ranks=[2, 2]),
+         "lambda has 5 components, more than the 4 of reg.ranks"),
+        ("two-step", swap_lambda, MONOTONE),
+        ("one-step", swap_lambda, MONOTONE),
+        ("two-step", set_lambda(0, 2 + 2e-8), MONOTONE),
+        ("two-step", set_lambda(-1, -2e-8), MONOTONE),
+        ("two-step", nudge_rho, "rho_analytic must equal (lambda - 1) / 1, bit for bit"),
+        ("one-step", nudge_rho, "rho_analytic must equal (lambda - 1) / 1, bit for bit"),
+    ]
+
+    @pytest.mark.parametrize("method, edit, match", RECORD_RULES, ids=[
+        "one-step-ranks", "k-above-ranks", "two-step-rising", "one-step-rising",
+        "above-N", "below-0", "two-step-rho", "one-step-rho",
+    ])
+    def test_record_fit_never_writes_refused(self, tmp_path, method, edit, match):
+        path = tmp_path / "m.json"
+        save_model(mcca.fit(random_instance(np.random.default_rng(3), (3, 2), 25),
+                            method=method), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: {match}"
+
 
 @pytest.fixture(scope="module")
 def wide_model():
