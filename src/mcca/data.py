@@ -6,8 +6,9 @@ exemplars (no 1/(T-1) factor): correlations and the eigenstructure built on
 top are invariant to that common scale, and keeping raw sums makes the
 block algebra exact for integer test fixtures.
 
-``load`` copies each set and tests it for non-finite entries in one pass
-over the caller's array (:func:`linalg.finite`). ``covariance`` builds R
+``load`` copies each set that may share the caller's memory and tests it
+for non-finite entries in the same pass (:func:`linalg.finite`), so it
+reads each set from memory once. ``covariance`` builds R
 from sets held in memory in two passes; :class:`CovarianceAccumulator`
 builds it from row batches, as ``mcca fit`` reads them, and never needs
 all T rows at once. ``batch_rows`` sizes the batches in which the CLI makes
