@@ -8,11 +8,12 @@ block algebra exact for integer test fixtures.
 
 ``load`` copies each set that may share the caller's memory and tests it
 for non-finite entries in the same pass (:func:`linalg.finite`), so it
-reads each set from memory once. ``covariance`` builds R
-from sets held in memory in two passes; :class:`CovarianceAccumulator`
-builds it from row batches, as ``mcca fit`` reads them, and never needs
-all T rows at once. ``batch_rows`` sizes the batches in which the CLI makes
-and projects rows.
+reads each set from memory once. ``covariance`` builds R and the means
+from sets held in memory in one pass: a Gram product of the shifted rows
+and a column of ones, which yields the column sums too.
+:class:`CovarianceAccumulator` builds them from row batches, as
+``mcca fit`` reads them, and never needs all T rows at once.
+``batch_rows`` sizes the batches in which the CLI makes and projects rows.
 """
 
 import mmap
@@ -26,6 +27,7 @@ from .errors import DataError, DimensionError
 from .linalg import as_array, as_matrix, finite, symmetrized, to_float64
 
 _CHUNK_BYTES = 8 << 20  # see `CovarianceAccumulator`
+_SHIFT_SAMPLES = 1024  # about this many evenly spaced rows give `covariance` its shift
 _BATCH_BYTES = 1 << 20  # see `batch_rows`
 _BATCH_BLOCKS = 128  # of 16 rows: at most 2048 rows per batch
 
@@ -312,23 +314,52 @@ class CovarianceAccumulator:
 def covariance(data: MultiSetData) -> CovarianceBlocks:
     """Cross-covariance blocks of (internally centered) multi-set data.
 
-    Two passes over the loaded sets: the means first, numpy's
-    ``mean(axis=0)`` of each set (centered data keeps its ``means`` and is
-    not shifted), then R as the sum of the Gram products of row chunks,
-    each centered into one reused buffer of ``_CHUNK_BYTES``. The data is
-    never copied or concatenated whole.
+    One pass over the loaded sets, by the shifted-data algorithm of Chan,
+    Golub & LeVeque (1983). The shift c is the column means of every
+    ceil(T / ``_SHIFT_SAMPLES``)-th row (zero for centered data, which
+    keeps its ``means``). Each row chunk, shifted by c, is written into one
+    reused buffer of ``_CHUNK_BYTES`` whose last column holds ones, and the
+    buffer's Gram product G is added up, so G carries the shifted column
+    sums s in its last row as well. Then the means are c + s / T and
+    R = G - T dev dev' for dev = s / T, which is as accurate as two passes
+    while c lies within a fraction of a standard deviation of the mean.
+    If 16 T dev_j^2 > R_jj for any column j, the pass runs once more with
+    c + dev as the shift, and that result stands; past this guard
+    G_jj <= 17/16 R_jj, so the correction cannot cancel. The data is never
+    copied or concatenated whole.
     """
-    means = data.means if data.centered else tuple(_freeze(b.mean(axis=0)) for b in data.sets)
-    shifts = [0.0] * data.n_sets if data.centered else means
-    rows, t, total = _chunk_rows(data.total_dim), data.n_exemplars, data.total_dim
-    buf = np.empty((min(rows, t), total))  # reuses resident heap pages, unlike a map
-    r = np.zeros((total, total))
+    t, total = data.n_exemplars, data.total_dim
+    stride = -(-t // _SHIFT_SAMPLES)
+    shift = (
+        np.zeros(total)
+        if data.centered
+        else np.concatenate([b[::stride].mean(axis=0) for b in data.sets])
+    )
+    # reuses resident heap pages, unlike a map
+    buf = np.empty((min(_chunk_rows(total + 1), t), total + 1))
+    buf[:, -1] = 1.0
+    r, dev = _shifted_gram(data, shift, buf)
+    if np.any(16 * t * dev**2 > np.diag(r)):
+        shift = shift + dev
+        r, dev = _shifted_gram(data, shift, buf)
+    mean = shift + dev
+    means = data.means if data.centered else tuple(_freeze(mean[sl]) for sl in block_slices(data.dims))
+    return CovarianceBlocks(R=_freeze(r), dims=data.dims, means=means)
+
+
+def _shifted_gram(data: MultiSetData, shift: np.ndarray, buf: np.ndarray):
+    """R of ``data`` and the deviation of its column means from ``shift``,
+    from one pass of row chunks shifted into ``buf``, whose last column is ones."""
+    t, rows = data.n_exemplars, len(buf)
+    g = np.zeros((buf.shape[1], buf.shape[1]))
     for a in range(0, t, rows):
         chunk = buf[: min(rows, t - a)]
-        for block, shift, sl in zip(data.sets, shifts, block_slices(data.dims)):
-            np.subtract(block[a : a + rows], shift, out=chunk[:, sl])
-        r += chunk.T @ chunk
-    return CovarianceBlocks(R=_freeze(0.5 * (r + r.T)), dims=data.dims, means=means)
+        for block, sl in zip(data.sets, block_slices(data.dims)):
+            np.subtract(block[a : a + rows], shift[sl], out=chunk[:, sl])
+        g += chunk.T @ chunk
+    dev = g[-1, :-1] / t
+    r = g[:-1, :-1] - t * np.outer(dev, dev)
+    return 0.5 * (r + r.T), dev
 
 
 def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:

@@ -42,8 +42,12 @@ from .metrics import _check_component, _isc_columns
 PD_RTOL = 1e-10
 # Eigenvalues closer than this fraction of the largest one are treated as a
 # degenerate cluster; any orthogonal basis of the cluster's eigenspace is
-# acceptable, so the basis is fixed deterministically.
+# acceptable, so the basis is fixed deterministically. A route whose
+# eigenvalues carry larger errors widens it (see `_orthonormalize_ties`).
 TIE_RTOL = 1e-10
+# How far an entry of V'(D + gamma I)V may stray from the identity's
+# before the fit refuses its components; the bound of acceptance criterion 4.
+ORTHO_ATOL = 1e-7
 # How far an eigenvalue may leave [0, N], where a covariance puts every
 # one, before the fit refuses it; the band of acceptance criterion 6.
 SPECTRUM_ATOL = 1e-8
@@ -218,11 +222,14 @@ def fit_one_step(
     with an inverse that does not overflow (as on subnormal data); otherwise
     a :class:`RankDeficiencyError` points at the failing set and suggests
     the two-step route or ``gamma > 0``. Kept primarily as an independent
-    cross-check of :func:`fit_two_step`.
+    cross-check of :func:`fit_two_step`. The general eigensolver's errors
+    grow with the blocks' condition number, so the components are checked
+    by :func:`_check_orthonormal` before they are returned.
     """
     _check_options(gamma=gamma, k=k)
     r_reg = cov.R + gamma * np.eye(cov.total_dim)
     m = np.empty_like(r_reg)
+    kappa = 1.0  # the largest condition number of a shifted diagonal block
     for l, sl, w, q in _diag_eigs(r_reg, cov.dims):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             inverse = (q / w) @ q.T
@@ -235,9 +242,12 @@ def fit_one_step(
                 "use fit_two_step or gamma > 0"
             )
         m[sl, :] = inverse @ r_reg[sl, :]
+        kappa = max(kappa, float(w[0] / w[-1]))
     values, vectors = general_eig_real(m)
     reg = RegularizationRecord(gamma=float(gamma), rank_tol=None, ranks=cov.dims)
-    return _finish(cov, values, vectors, k, ONE_STEP, reg)
+    model = _finish(cov, values, vectors, k, ONE_STEP, reg, kappa)
+    _check_orthonormal(cov, model, kappa)
+    return model
 
 
 def fit(
@@ -302,6 +312,7 @@ def _finish(
     k: int | None,
     method: str,
     reg: RegularizationRecord,
+    kappa: float = 1.0,
 ) -> MccaModel:
     """Normalize, fix degenerate clusters, truncate to k, and wrap up.
 
@@ -313,6 +324,10 @@ def _finish(
     covariance-form ISC of V on the unregularized covariance (the diagonals
     of V'(R - D)V and V'DV), NaN where a column's projected within-set
     variance is zero.
+
+    ``kappa``, the largest condition number of the diagonal blocks the
+    route inverts (1 for the two-step route), widens the tie tolerance of
+    :func:`_orthonormalize_ties`.
     """
     if values[-1] < -SPECTRUM_ATOL or values[0] > cov.n_sets + SPECTRUM_ATOL:
         raise DataError(
@@ -323,7 +338,7 @@ def _finish(
     if np.any(q <= 0.0):
         raise DegeneracyError("eigenvector with non-positive block-diagonal energy")
     vectors = vectors / np.sqrt(q)
-    _orthonormalize_ties(values, vectors, cov, reg.gamma)
+    _orthonormalize_ties(values, vectors, cov, reg.gamma, kappa)
     fix_column_signs(vectors)
 
     available = int(values.shape[0])
@@ -350,7 +365,7 @@ def _finish(
 
 
 def _orthonormalize_ties(
-    values: np.ndarray, vectors: np.ndarray, cov: CovarianceBlocks, gamma: float
+    values: np.ndarray, vectors: np.ndarray, cov: CovarianceBlocks, gamma: float, kappa: float = 1.0
 ) -> None:
     """Make near-degenerate clusters (D + gamma I)-orthonormal, in place.
 
@@ -358,8 +373,15 @@ def _orthonormalize_ties(
     D-orthogonal automatically; within a degenerate cluster the backend's
     basis is arbitrary, so a symmetric orthogonalization pins it down
     without leaving the cluster's eigenspace.
+
+    Values closer than max(``TIE_RTOL``, u kappa N) times the largest
+    |value| form a cluster, where kappa is the largest condition number
+    of the diagonal blocks the route inverted (1 for the two-step route's
+    whitened blocks): a general eigensolver's values carry errors of
+    about u kappa N.
     """
-    tol = TIE_RTOL * max(abs(float(values[0])), abs(float(values[-1])))
+    rtol = max(TIE_RTOL, 0.5 * np.finfo(np.float64).eps * kappa * cov.n_sets)
+    tol = rtol * max(abs(float(values[0])), abs(float(values[-1])))
     # a cluster ends where the next value falls by more than tol
     edges = np.flatnonzero(np.diff(values, prepend=np.inf, append=-np.inf) < -tol)
     for start, stop in pairwise(edges):
@@ -373,3 +395,24 @@ def _orthonormalize_ties(
                     "linearly dependent eigenvectors in a degenerate cluster"
                 )
             vectors[:, start:stop] = vc @ (qmat / np.sqrt(w)) @ qmat.T
+
+
+def _check_orthonormal(cov: CovarianceBlocks, model: MccaModel, kappa: float) -> None:
+    """DegeneracyError unless the model's V'(D + gamma I)V is the identity
+    within ``ORTHO_ATOL``: the one-step route's postcondition.
+
+    The general eigensolver leaves errors of about u ``kappa`` in every
+    column, so a tie it splits by more than the tie tolerance, or a column
+    it gets wrong, can show anywhere in V'(D + gamma I)V, and all of it is
+    checked.
+    """
+    v = model.V
+    gram = v.T @ (cov.d_dot(v) + model.reg.gamma * v)
+    worst = float(np.abs(gram - np.eye(model.n_components)).max())
+    if not worst <= ORTHO_ATOL:
+        raise DegeneracyError(
+            f"one-step components are not (D + gamma I)-orthonormal: an entry of "
+            f"V'(D + gamma I)V is {worst:.3e} from the identity's, beyond {ORTHO_ATOL:.0e} "
+            f"(largest condition number of a shifted diagonal block {kappa:.3e}); "
+            "use fit_two_step, which whitens each set instead of inverting its block"
+        )

@@ -28,13 +28,15 @@ def dense_d(cov):
 
 
 def covariance_two_pass(data, chunk_bytes=8 << 20):
-    """``covariance`` as two passes over the loaded sets, written apart.
+    """R and the means of ``data`` by the plain two-pass method.
 
-    The oracle that ``covariance`` must equal bit for bit and that
-    ``CovarianceAccumulator`` must match within rounding. The column
-    means come first (centered data keeps its ``means`` and is not
-    shifted), then each row chunk of at most ``chunk_bytes`` is centered
-    into a reused buffer and its Gram product added into R.
+    The baseline whose rounding ``covariance``'s single pass must match
+    (see :func:`covariance_exact`), and the oracle that
+    ``CovarianceAccumulator`` must match within rounding. The column means
+    come first, as numpy's ``mean(axis=0)`` (centered data keeps its
+    ``means`` and is not shifted), then each row chunk of at most
+    ``chunk_bytes`` is centered into a reused buffer and its Gram product
+    added into R.
     """
     means = data.means if data.centered else [b.mean(axis=0) for b in data.sets]
     shifts = [0.0] * data.n_sets if data.centered else means
@@ -47,6 +49,28 @@ def covariance_two_pass(data, chunk_bytes=8 << 20):
             np.subtract(block[a : a + rows], shift, out=chunk[:, sl])
         r += chunk.T @ chunk
     return 0.5 * (r + r.T), means
+
+
+def covariance_exact(data):
+    """R and the column means of ``data`` in ``np.longdouble``: the two-pass
+    formula with more bits than float64 (64 on x86-64), the reference that
+    float64 covariances are measured against. Centered data is centered
+    again, about its own column means."""
+    x = np.hstack(data.sets).astype(np.longdouble)
+    mean = x.mean(axis=0)
+    xc = x - mean
+    return xc.T @ xc, mean
+
+
+def covariance_errors(got_r, got_means, data):
+    """``(R error, means error)`` of a float64 covariance of ``data`` against
+    :func:`covariance_exact`: max |R - R_exact| / max |R_exact| and
+    max |mean - mean_exact| / max |x|."""
+    r, mean = covariance_exact(data)
+    scale = float(max(np.abs(s).max() for s in data.sets))
+    r_err = float(np.abs(got_r - r).max() / np.abs(r).max())
+    mean_err = float(np.abs(np.concatenate(got_means) - mean).max()) / scale
+    return r_err, mean_err
 
 
 def save_model_json_dump(model, path):

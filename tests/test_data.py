@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mcca.data
 import mcca.linalg
-from helpers import cov_blocks, covariance_two_pass
+from helpers import cov_blocks, covariance_errors, covariance_two_pass
 from mcca import (
     DataError,
     DimensionError,
@@ -18,6 +18,8 @@ from mcca import (
 )
 from mcca.data import CovarianceAccumulator, block_slices
 from mcca.linalg import sym_eig
+
+U = np.finfo(float).eps / 2  # the unit roundoff
 
 
 class TestBlockSlices:
@@ -319,13 +321,15 @@ class TestChunkedCovariance:
             xc = np.hstack([s - s.mean(axis=0) for s in data.sets])
             means = [s.mean(axis=0) for s in data.sets]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mcca.data, "_CHUNK_BYTES", rows * 8 * sum(dims))
+            # chunks of `rows` rows: the buffer holds a column of ones as well
+            mp.setattr(mcca.data, "_CHUNK_BYTES", rows * 8 * (sum(dims) + 1))
             cov = covariance(data)
         ref = xc.T @ xc
         assert np.abs(cov.R - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(cov.R, cov.R.T)
-        for got, want in zip(cov.means, means):
-            assert np.array_equal(got, want)
+        for block, got, want in zip(data.sets, cov.means, means):
+            # numpy's mean and the shifted sums differ by rounding only
+            assert np.abs(got - want).max() <= t * np.finfo(float).eps * np.abs(block).max()
 
     def test_peak_memory_below_one_copy_of_the_data(self):
         rng = np.random.default_rng(10)
@@ -414,16 +418,101 @@ class TestCovarianceAccumulator:
             acc.add(rows)
         assert np.array_equal(acc.covariance().R, ref.covariance().R)
 
-    def test_covariance_is_bitwise_two_pass(self):
+    def test_covariance_is_as_accurate_as_two_pass(self):
         # in memory, the whole data is one batch, whatever the chunk size
         rng = np.random.default_rng(11)
         data = load([5.0 + rng.standard_normal((50, d)) for d in (1, 3, 2)])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mcca.data, "_CHUNK_BYTES", 7 * 8 * 6)
+            mp.setattr(mcca.data, "_CHUNK_BYTES", 7 * 8 * 7)
             cov = covariance(data)
         ref, means = covariance_two_pass(data, chunk_bytes=7 * 8 * 6)
-        assert np.array_equal(cov.R, ref)
-        assert all(np.array_equal(a, b) for a, b in zip(cov.means, means))
+        got_errors = covariance_errors(cov.R, cov.means, data)
+        ref_errors = covariance_errors(ref, means, data)
+        for got, want in zip(got_errors, ref_errors):
+            assert got <= max(2 * want, 8 * U)
+
+
+def _spikes_on_the_sample_stride(rng, t):
+    """Sets whose rows on the stride k of ``covariance``'s shift sample lie
+    1e3 above the others, so the sampled mean misses the mean by sqrt(k - 1)
+    standard deviations (8 at T = 65536) and the guard must run a second pass."""
+    sets = [rng.standard_normal((t, 3)), rng.standard_normal((t, 2))]
+    sets[0][:: -(-t // mcca.data._SHIFT_SAMPLES)] += 1e3
+    return sets
+
+
+def _with_column(rng, t, column):
+    sets = [rng.standard_normal((t, 3)), rng.standard_normal((t, 2))]
+    sets[0][:, 1] = column(t)
+    return sets
+
+
+# family -> (sets of T rows, passes `covariance` takes)
+HOSTILE = {
+    "offset+1e8": (lambda rng, t: [1e8 + rng.standard_normal((t, d)) for d in (3, 2)], 1),
+    "offset-1e8": (lambda rng, t: [-1e8 + rng.standard_normal((t, d)) for d in (3, 2)], 1),
+    "step": (lambda rng, t: _with_column(rng, t, lambda t: np.repeat([0.0, 1e4], [t // 2, t - t // 2])), 1),
+    "random-walk": (lambda rng, t: _with_column(rng, t, lambda t: rng.standard_normal(t).cumsum()), 1),
+    "spikes": (_spikes_on_the_sample_stride, 2),
+    "constant": (lambda rng, t: _with_column(rng, t, lambda t: np.full(t, 0.1)), 2),
+}
+
+
+class TestSinglePassCovariance:
+    """``covariance`` in one pass, against the extended-precision two-pass
+    reference: at most twice the plain two-pass method's error, or 8 u."""
+
+    @staticmethod
+    def passes(monkeypatch):
+        calls = []
+        gram = mcca.data._shifted_gram
+        monkeypatch.setattr(mcca.data, "_shifted_gram", lambda *a: calls.append(1) or gram(*a))
+        return calls
+
+    def assert_as_accurate_as_two_pass(self, data, cov):
+        got = covariance_errors(cov.R, cov.means, data)
+        want = covariance_errors(*covariance_two_pass(data), data)
+        assert got[0] <= max(2 * want[0], 8 * U)
+        assert got[1] <= max(2 * want[1], 8 * U)
+        assert np.array_equal(cov.R, cov.R.T)
+
+    @pytest.mark.parametrize("family", list(HOSTILE))
+    def test_hostile_family(self, monkeypatch, family):
+        make, passes = HOSTILE[family]
+        data = load(make(np.random.default_rng(12), 65536))
+        calls = self.passes(monkeypatch)
+        cov = covariance(data)
+        self.assert_as_accurate_as_two_pass(data, cov)
+        assert len(calls) == passes
+
+    def test_centered_data_keeps_its_means(self, monkeypatch):
+        data = center(load(HOSTILE["offset+1e8"][0](np.random.default_rng(13), 3000)))
+        calls = self.passes(monkeypatch)
+        cov = covariance(data)
+        assert cov.means is data.means
+        assert len(calls) == 1
+        got = covariance_errors(cov.R, data.means, data)[0]
+        want = covariance_errors(covariance_two_pass(data)[0], data.means, data)[0]
+        assert got <= max(2 * want, 8 * U)
+
+    @pytest.mark.parametrize("t", [2, 3, 100, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("family", ["offset+1e8", "spikes"])
+    def test_few_exemplars(self, family, t):
+        data = load(HOSTILE[family][0](np.random.default_rng(t), t))
+        self.assert_as_accurate_as_two_pass(data, covariance(data))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3])
+    @pytest.mark.parametrize("family", list(HOSTILE))
+    def test_chunk_boundaries(self, monkeypatch, family, n_chunks, extra):
+        make, passes = HOSTILE[family]
+        data = load(make(np.random.default_rng(14), 2 * mcca.data._SHIFT_SAMPLES))
+        rows = len(data.sets[0]) // n_chunks + extra
+        monkeypatch.setattr(mcca.data, "_CHUNK_BYTES", rows * 8 * (data.total_dim + 1))
+        calls = self.passes(monkeypatch)
+        cov = covariance(data)
+        self.assert_as_accurate_as_two_pass(data, cov)
+        assert len(calls) == passes
 
 
 class TestCovarianceFromMatrix:

@@ -15,6 +15,7 @@ from helpers import (
 )
 from mcca import (
     DataError,
+    DegeneracyError,
     DegenerateSetError,
     DimensionError,
     RankDeficiencyError,
@@ -207,6 +208,65 @@ class TestOrthonormalizeTies:
         assert np.array_equal(got, want)
         changed = [j for j in range(6) if not np.array_equal(got[:, j], before[:, j])]
         assert changed == [j for a, b in clusters for j in range(a, b)]
+
+
+def near_tied_pair(seed):
+    """Two sets, 2 and 5 dims, sharing one signal, with a column of set 2
+    repeated times (1 + 1e-9): three eigenvalues are exactly 1, and set 2's
+    block, shifted by gamma = 1e-3, has a condition number near 1e7."""
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(8, 16))
+    s = rng.standard_normal((t, 1))
+    x = rng.standard_normal((t, 2)) + 10 * s @ rng.standard_normal((1, 2))
+    y = rng.standard_normal((t, 5)) + 10 * s @ rng.standard_normal((1, 5))
+    y[:, 4] = y[:, 0] * (1 + 1e-9)
+    return covariance(load([x, y]))
+
+
+def d_orthonormality_error(cov, model):
+    """max |V'(D + gamma I)V - I| of a model."""
+    d = dense_d(cov) + model.reg.gamma * np.eye(cov.total_dim)
+    return float(np.abs(model.V.T @ d @ model.V - np.eye(model.n_components)).max())
+
+
+class TestOneStepOrthonormality:
+    """Criterion 4 on the one-step route with gamma > 0: ties joined within
+    the general eigensolver's accuracy, and a refusal where that is not enough."""
+
+    def test_ties_within_the_solvers_accuracy_are_joined(self):
+        cov = near_tied_pair(0)
+        model = fit_one_step(cov, gamma=1e-3)
+        assert np.abs(model.lambdas[2:5] - 1.0).max() <= 1e-8
+        assert d_orthonormality_error(cov, model) <= 1e-7
+
+    def test_every_seed_fits_within_the_bound_or_is_refused(self):
+        refused = 0
+        for seed in range(400):
+            cov = near_tied_pair(seed)
+            try:
+                model = fit_one_step(cov, gamma=1e-3)
+            except DegeneracyError as exc:
+                assert "one-step components are not (D + gamma I)-orthonormal" in str(exc)
+                refused += 1
+                continue
+            assert d_orthonormality_error(cov, model) <= 1e-7, seed
+        assert refused < 100
+
+    def test_refusal_names_the_worst_entry_and_kappa(self):
+        # seed 5 leaves 2.6e-7 between the top component and the tie at 1
+        cov = near_tied_pair(5)
+        w = np.linalg.eigvalsh(dense_d(cov)[2:, 2:] + 1e-3 * np.eye(5))
+        with pytest.raises(DegeneracyError) as info:
+            fit_one_step(cov, gamma=1e-3)
+        worst = float(str(info.value).split("V'(D + gamma I)V is ")[1].split()[0])
+        assert 1e-7 < worst < 1e-5
+        assert f"{w[-1] / w[0]:.3e}" in str(info.value)
+        assert "use fit_two_step" in str(info.value)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_two_step_route_meets_the_bound(self, seed):
+        cov = near_tied_pair(seed)
+        assert d_orthonormality_error(cov, fit_two_step(cov, gamma=1e-3)) <= 1e-7
 
 
 class TestRouteEquivalence:
