@@ -185,14 +185,12 @@ def cmd_synth(args) -> int:
     )
     with _outputs(args.output, args.latents) as (output, latents):
         _, batches = row_batches(spec)
-        with contextlib.ExitStack() as stack:
-            write_data = stack.enter_context(fileio.data_csv_writer(output))
-            if latents is not None:
-                write_latents = stack.enter_context(fileio.data_csv_writer(latents))
+        no_latents = contextlib.nullcontext(lambda lat: None)
+        latents_writer = no_latents if latents is None else fileio.data_csv_writer(latents)
+        with fileio.data_csv_writer(output) as write_data, latents_writer as write_latents:
             for lat, sets in batches:
                 write_data(np.hstack(sets))
-                if latents is not None:
-                    write_latents(lat)
+                write_latents(lat)
     return EXIT_OK
 
 

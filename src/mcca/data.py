@@ -316,8 +316,8 @@ def covariance(data: MultiSetData) -> CovarianceBlocks:
 
     One pass over the loaded sets, by the shifted-data algorithm of Chan,
     Golub & LeVeque (1983). The shift c is the column means of every
-    ceil(T / ``_SHIFT_SAMPLES``)-th row (zero for centered data, which
-    keeps its ``means``). Each row chunk, shifted by c, is written into one
+    ceil(T / ``_SHIFT_SAMPLES``)-th row, for centered data too, which
+    keeps its own ``means``. Each row chunk, shifted by c, is written into one
     reused buffer of ``_CHUNK_BYTES`` whose last column holds ones, and the
     buffer's Gram product G is added up, so G carries the shifted column
     sums s in its last row as well. Then the means are c + s / T and
@@ -325,21 +325,22 @@ def covariance(data: MultiSetData) -> CovarianceBlocks:
     while c lies within a fraction of a standard deviation of the mean.
     If 16 T dev_j^2 > R_jj for any column j, the pass runs once more with
     c + dev as the shift, and that result stands; past this guard
-    G_jj <= 17/16 R_jj, so the correction cannot cancel. The data is never
-    copied or concatenated whole.
+    G_jj <= 17/16 R_jj, so the correction cannot cancel. A column whose
+    16 T dev_j^2 is below eps times the largest R_ii of its own set, as a
+    constant column's is, does not trip the guard: all the correction can
+    cancel there lies below roundoff at that set's scale. The data is
+    never copied or concatenated whole.
     """
     t, total = data.n_exemplars, data.total_dim
     stride = -(-t // _SHIFT_SAMPLES)
-    shift = (
-        np.zeros(total)
-        if data.centered
-        else np.concatenate([b[::stride].mean(axis=0) for b in data.sets])
-    )
+    shift = np.concatenate([b[::stride].mean(axis=0) for b in data.sets])
     # reuses resident heap pages, unlike a map
     buf = np.empty((min(_chunk_rows(total + 1), t), total + 1))
     buf[:, -1] = 1.0
     r, dev = _shifted_gram(data, shift, buf)
-    if np.any(16 * t * dev**2 > np.diag(r)):
+    diag = np.diag(r)
+    set_max = np.repeat([diag[sl].max() for sl in block_slices(data.dims)], data.dims)
+    if np.any(16 * t * dev**2 > np.maximum(diag, np.finfo(np.float64).eps * set_max)):
         shift = shift + dev
         r, dev = _shifted_gram(data, shift, buf)
     mean = shift + dev
@@ -358,8 +359,7 @@ def _shifted_gram(data: MultiSetData, shift: np.ndarray, buf: np.ndarray):
             np.subtract(block[a : a + rows], shift[sl], out=chunk[:, sl])
         g += chunk.T @ chunk
     dev = g[-1, :-1] / t
-    r = g[:-1, :-1] - t * np.outer(dev, dev)
-    return 0.5 * (r + r.T), dev
+    return g[:-1, :-1] - t * np.outer(dev, dev), dev
 
 
 def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:

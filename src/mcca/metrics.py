@@ -130,14 +130,17 @@ def _isc_columns(cov, v: np.ndarray) -> IscBreakdown:
 
     Returns an :class:`IscBreakdown` of length-K arrays: the sums for ``v``
     itself (±inf where they exceed the float range; rho stays finite) and
-    rho, NaN where the projected within-set variance is zero.
+    rho, NaN where the projected within-set variance is at roundoff: at most
+    eps max|R| |u|^2 total_dim, the rounding error of u'Du itself. A column
+    in D's null space has a within-set variance made of rounding alone, and
+    its ratio would mean nothing (it can read far above 1).
     """
     _, exp = np.frexp(np.abs(v).max(axis=0))
     u = np.ldexp(v, -exp)
     r_within = np.einsum("ij,ij->j", u, cov.d_dot(u))
     r_between = np.einsum("ij,ij->j", u, cov.R @ u) - r_within
     floor = (
-        VARIANCE_FLOOR_REL**2
+        np.finfo(np.float64).eps
         * float(np.abs(cov.R).max())
         * np.einsum("ij,ij->j", u, u)
         * cov.total_dim

@@ -81,7 +81,8 @@ class MccaModel:
     diagonalize it: V' D V = I up to roundoff. ``rho_analytic`` is
     (lambda - 1)/(N - 1) of the solved problem; ``rho_empirical`` is the
     inter-set correlation each column achieves on the unregularized
-    covariance (NaN in the corner case of zero projected variance).
+    covariance (NaN where the projected within-set variance is at roundoff,
+    as it is for a column in D's null space).
     """
 
     V: np.ndarray
@@ -147,12 +148,10 @@ def whiten(cov: CovarianceBlocks, rank_tol: float = DEFAULT_RANK_TOL, gamma: flo
     r_reg = cov.R + gamma * np.eye(cov.total_dim)
     eigvals, ranks, maps = [], [], []
     for l, _, w, q in _diag_eigs(r_reg, cov.dims):
-        degenerate = f"data set {l + 1} of {cov.n_sets} is degenerate"
-        if w[0] <= 0.0:
-            raise DegenerateSetError(f"{degenerate}: its covariance block is zero")
         r = int(np.count_nonzero(w > rank_tol * w[0]))
         if r == 0:
-            raise DegenerateSetError(f"{degenerate}: all variance falls below the rank tolerance")
+            cause = "its covariance block is zero" if w[0] <= 0.0 else "all variance falls below the rank tolerance"
+            raise DegenerateSetError(f"data set {l + 1} of {cov.n_sets} is degenerate: {cause}")
         eigvals.append(w)
         ranks.append(r)
         maps.append(q[:, :r] / np.sqrt(w[:r]))
@@ -323,7 +322,7 @@ def _finish(
     block. ``rho_empirical`` of all k kept columns comes from one batched
     covariance-form ISC of V on the unregularized covariance (the diagonals
     of V'(R - D)V and V'DV), NaN where a column's projected within-set
-    variance is zero.
+    variance is at roundoff (see :func:`metrics._isc_columns`).
 
     ``kappa``, the largest condition number of the diagonal blocks the
     route inverts (1 for the two-step route), widens the tie tolerance of

@@ -249,8 +249,6 @@ class SynthSpec:
     def sigma(self) -> float:
         if self.snr == 0.0:
             return 1.0
-        if np.isinf(self.snr):
-            return 0.0
         return 1.0 / np.sqrt(self.snr)
 
 

@@ -203,7 +203,7 @@ def isc_from_cov_loops(cov, v):
                 r_within += q
     r_between = r_total - r_within
     floor = (
-        mcca.metrics.VARIANCE_FLOOR_REL**2
+        np.finfo(np.float64).eps
         * float(np.abs(cov.R).max())
         * float(v @ v)
         * cov.total_dim

@@ -526,6 +526,15 @@ class TestNoPartialOutputs:
         assert code == 2
         assert str(out) in err and "missing.csv" not in err
 
+    def test_fit_refuses_a_directory_as_output(self, tmp_path):
+        data, out = tmp_path / "d.csv", tmp_path / "m.json"
+        write_perfect_pair(data)
+        out.mkdir()
+        code, _, err = run_cli("fit", "--input", data, "--dims", "1,1", "--output", out)
+        assert code == 2
+        assert str(out) in err
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "m.json"] and os.listdir(out) == []
+
     @pytest.mark.parametrize("command", ["fit", "transform", "synth"])
     def test_failed_run_keeps_old_output(self, tmp_path, command):
         data, model, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "out"

@@ -454,7 +454,7 @@ HOSTILE = {
     "step": (lambda rng, t: _with_column(rng, t, lambda t: np.repeat([0.0, 1e4], [t // 2, t - t // 2])), 1),
     "random-walk": (lambda rng, t: _with_column(rng, t, lambda t: rng.standard_normal(t).cumsum()), 1),
     "spikes": (_spikes_on_the_sample_stride, 2),
-    "constant": (lambda rng, t: _with_column(rng, t, lambda t: np.full(t, 0.1)), 2),
+    "constant": (lambda rng, t: _with_column(rng, t, lambda t: np.full(t, 0.1)), 1),
 }
 
 

@@ -67,6 +67,20 @@ class TestWhiten:
         with pytest.raises(DegenerateSetError, match="data set 1 of 2"):
             whiten(covariance(data))
 
+    @pytest.mark.parametrize(
+        "r, cause",
+        [
+            ([[0.0, 0.0], [0.0, 1.0]], "its covariance block is zero"),
+            ([[3 * 2.0**-1074, 0.0], [0.0, 1.0]], "all variance falls below the rank tolerance"),
+        ],
+        ids=["zero", "subnormal"],
+    )
+    def test_degenerate_set_cause_named(self, r, cause):
+        # 0.9 times three of the smallest subnormal rounds back to three
+        with pytest.raises(DegenerateSetError) as info:
+            fit_two_step(covariance_from_matrix(r, (1, 1)), rank_tol=0.9)
+        assert str(info.value) == f"data set 1 of 2 is degenerate: {cause}"
+
     def test_opts_validated(self):
         cov = covariance_from_matrix(np.eye(2), (1, 1))
         with pytest.raises(DataError):
@@ -502,6 +516,14 @@ class TestCovarianceAlgebra:
                 stationarity_residual(cov, model, n)
                 - stationarity_residual_loops(cov, model, n)
             ) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["two-step", "one-step"])
+    def test_noiseless_ridge_fit_reads_no_rho_above_one(self, method):
+        # most components lie in D's null space, where u'Du is rounding alone
+        spec = mcca.SynthSpec(seed=911, dims=(16,) * 4, n_exemplars=6000, n_components=1)
+        model = mcca.fit(mcca.generate(spec).data, method=method, gamma=0.5)
+        rho = model.rho_empirical
+        assert np.all(np.isnan(rho) | (rho <= 1 + 1e-12))
 
     def test_tiny_scale_raises_no_runtime_warning(self):
         data = random_instance(np.random.default_rng(21), (4, 4, 4), 500)
