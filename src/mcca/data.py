@@ -8,9 +8,11 @@ block algebra exact for integer test fixtures.
 
 ``load`` copies each set that may share the caller's memory and tests it
 for non-finite entries in the same pass (:func:`linalg.finite`), so it
-reads each set from memory once. ``covariance`` builds R and the means
-from sets held in memory in one pass: a Gram product of the shifted rows
-and a column of ones, which yields the column sums too.
+reads each set from memory once; a set of 8 MiB or more is split among
+threads started for the call, at most one per available CPU, with the
+same bits out. ``covariance`` builds R and the means from sets held in
+memory in one pass: a Gram product of the shifted rows and a column of
+ones, which yields the column sums too.
 :class:`CovarianceAccumulator` builds them from row batches, as
 ``mcca fit`` reads them, and never needs all T rows at once.
 ``batch_rows`` sizes the batches in which the CLI makes and projects rows.
@@ -140,6 +142,8 @@ def load(sets) -> MultiSetData:
     tested for non-finite entries in the same pass, piece by piece
     (:func:`linalg.finite`), so each input byte is read from memory once; a
     set that had to be converted to C-ordered float64 is tested in place.
+    A large set is split among the available CPUs, on threads started and
+    joined within the call; the loaded bits do not depend on how many.
     The shape of a set is checked before its entries.
     """
     blocks = list(sets)

@@ -5,7 +5,14 @@ pins down the conventions everything else relies on: validated float64
 inputs, eigenvalues sorted in descending order, and a deterministic sign
 for every eigenvector column, so repeated runs at a fixed BLAS thread count
 produce identical bits (the thread count can change the last bits).
+
+:func:`finite` tests a large array on every available core, with threads
+started for the call and joined before it returns or raises; its output
+bits do not depend on how many run.
 """
+
+import os
+import threading
 
 import numpy as np
 
@@ -18,6 +25,9 @@ SYMMETRY_RTOL = 1e-10
 EIG_IMAG_RTOL = 1e-8
 # Bytes per piece of `finite`: a piece just copied is still in L2 when it is tested.
 _PIECE_BYTES = 256 << 10
+# Pieces (4 MiB) per thread of `finite` at the least: a smaller share saves
+# less time than starting and joining the thread costs.
+_WORKER_PIECES = 16
 
 
 def to_float64(a, name: str, order: str = "K") -> np.ndarray:
@@ -26,6 +36,14 @@ def to_float64(a, name: str, order: str = "K") -> np.ndarray:
         return np.asarray(a, dtype=np.float64, order=order)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{name} is not a numeric array ({exc})") from None
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no sched_getaffinity
+        return os.cpu_count() or 1
 
 
 def finite(arr: np.ndarray, name: str, copy: bool = False) -> np.ndarray:
@@ -37,15 +55,50 @@ def finite(arr: np.ndarray, name: str, copy: bool = False) -> np.ndarray:
     pieces of whole rows of about ``_PIECE_BYTES``, each copied and then
     tested while it is still in cache, so each input byte is read from
     memory once and no temporary is larger than a piece (or one row).
+
+    The rows are split into one contiguous range of whole pieces per
+    worker: as many workers as CPUs available, but no more than one per
+    ``_WORKER_PIECES`` pieces, so an array under twice that runs on the
+    calling thread alone. The calling thread walks the first range, a
+    thread started for the call walks each other one, and every thread is
+    joined before this returns or raises. Numpy releases the interpreter
+    lock for the copy and the test, and the output bits are the same for
+    any number of workers.
     """
     out = np.empty(arr.shape) if copy else arr
     rows = max(1, _PIECE_BYTES // max(1, arr[:1].nbytes))
-    for a in range(0, len(arr), rows):
-        piece = out[a : a + rows]
-        if copy:
-            piece[...] = arr[a : a + rows]
-        if not np.isfinite(piece).all():
-            raise DataError(f"{name} contains non-finite entries")
+    pieces = -(-len(arr) // rows)
+    workers = max(1, min(_cpu_count(), pieces // _WORKER_PIECES))
+    cuts = [min(len(arr), rows * (pieces * w // workers)) for w in range(workers + 1)]
+    failed = threading.Event()
+    errors = []
+
+    def walk(w: int) -> None:
+        try:
+            for a in range(cuts[w], cuts[w + 1], rows):
+                if failed.is_set():
+                    return
+                piece = out[a : a + rows]
+                if copy:
+                    piece[...] = arr[a : a + rows]
+                if not np.isfinite(piece).all():
+                    failed.set()
+        except Exception as exc:  # raised again by the calling thread
+            errors.append(exc)
+            failed.set()
+
+    threads = [threading.Thread(target=walk, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        walk(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    if failed.is_set():
+        raise DataError(f"{name} contains non-finite entries")
     return out
 
 

@@ -682,3 +682,14 @@ def test_peak_memory_does_not_grow_with_t(tmp_path):
     growth = {name: (large[name] - small[name]) * 1024 / 1e6 for name in small}
     print(growth)
     assert all(mb <= 2.0 for mb in growth.values()), growth
+
+
+def test_import_starts_no_thread_and_no_executor():
+    # every command pays a fresh import; an executor module costs each one milliseconds
+    code = (
+        "import sys, threading, mcca.cli\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1"]

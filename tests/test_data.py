@@ -1,3 +1,6 @@
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcca.data
+import mcca.fileio
 import mcca.linalg
 from helpers import cov_blocks, covariance_errors, covariance_two_pass
 from mcca import (
@@ -197,6 +201,105 @@ class TestSinglePass:
         assert (acc.count, acc._fill) == (0, 0)
         acc.add(np.ones((1, 3)))
         assert (acc.count, acc._fill) == (0, 1)
+
+
+class TestSplit:
+    """``linalg.finite`` splits a large array's rows among 2 or 3 workers:
+    the calling thread and one started thread per further range."""
+
+    ROWS = 4  # rows of 7 columns per piece under the patched piece size
+    T = ROWS * 3 * mcca.linalg._WORKER_PIECES + 3  # 3 ranges of 16 pieces and part of one more
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The threads started so far."""
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        return started
+
+    def split(self, monkeypatch, cpus):
+        """``cpus`` CPUs, and pieces of ROWS rows of 7 columns."""
+        monkeypatch.setattr(mcca.linalg, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(mcca.linalg, "_PIECE_BYTES", self.ROWS * 8 * 7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_non_finite_found_in_every_row(self, monkeypatch, started, cpus, bad):
+        # every row of every range, so the first and last rows of each too
+        self.split(monkeypatch, cpus)
+        threads = threading.active_count()
+        ok = np.ones((self.T, 1))  # under the minimum: one worker
+        for row in range(self.T):
+            block = np.ones((self.T, 7))
+            block[row, row % 7] = bad
+            with pytest.raises(DataError, match="^data set 2 contains non-finite entries$"):
+                load([ok, block])
+            assert threading.active_count() == threads
+        assert len(started) == self.T * (cpus - 1)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_copies_bits_layout_and_ownership(self, monkeypatch, started, cpus):
+        self.split(monkeypatch, cpus)
+        threads = threading.active_count()
+        x = np.random.default_rng(6).standard_normal((self.T, 7))
+        x[[0, -1], :3] = -0.0, 5e-324, -1e30
+        for block in (x, np.vstack([x, x])[self.T :]):  # the caller's array and a view
+            data = load([block, block])
+            for s in data.sets:
+                assert s.view(np.uint64).tolist() == x.view(np.uint64).tolist()
+                assert s.flags.c_contiguous and not s.flags.writeable
+                assert not np.shares_memory(s, block)
+        assert len(started) == 4 * (cpus - 1)
+        assert threading.active_count() == threads
+
+    def test_error_in_a_started_thread_waited_for_and_raised_by_the_caller(self, monkeypatch, started):
+        self.split(monkeypatch, 3)
+        threads = threading.active_count()
+        isfinite = np.isfinite
+
+        def failing(a):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)  # still running when the calling thread is done
+                raise MemoryError("in a started thread")
+            return isfinite(a)
+
+        monkeypatch.setattr(np, "isfinite", failing)
+        with pytest.raises(MemoryError, match="in a started thread"):
+            load([np.ones((self.T, 7)), np.ones((self.T, 7))])
+        assert len(started) == 2
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_under_the_minimum_runs_on_the_calling_thread(self, monkeypatch, started, cpus):
+        monkeypatch.setattr(mcca.linalg, "_cpu_count", lambda: cpus)
+        least = 2 * mcca.linalg._WORKER_PIECES  # pieces that two workers take
+        for width in (1, 7, 64, 1024):
+            # the largest batches of the CLI: read for the accumulator, and regrouped to project
+            acc = CovarianceAccumulator((width, 1))
+            acc.add(np.ones((mcca.fileio._BATCH_FIELDS // (width + 1), width + 1)))
+            acc.add(np.ones((0, width + 1)))
+            load([np.ones((mcca.data.batch_rows(width) + 1, width))] * 2)
+            piece_rows = mcca.linalg._PIECE_BYTES // (8 * width)
+            load([np.ones(((least - 1) * piece_rows, width))] * 2)
+            assert not started
+        rows = least * mcca.linalg._PIECE_BYTES // (8 * 7)  # two workers' pieces of 7 columns
+        load([np.ones((rows, 7)), np.ones((rows, 1))])
+        assert len(started) == 1
+
+    def test_cpu_count_falls_back_without_sched_getaffinity(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert mcca.linalg._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert mcca.linalg._cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert mcca.linalg._cpu_count() == 1
 
 
 class TestCenter:

@@ -17,7 +17,7 @@ import pytest
 
 import mcca
 from helpers import random_instance
-from mcca import DegeneracyError
+from mcca import DegeneracyError, RankDeficiencyError
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -90,8 +90,8 @@ def test_model_within_bounds_or_typed_refusal(case, method):
 @pytest.mark.parametrize("method", ["two-step", "one-step"])
 @pytest.mark.parametrize("factor", [1e-150, 1e150])
 def test_scaled_set_keeps_the_spectrum(factor, method):
-    # stationarity_residual is relative to the largest entry of R, so it
-    # reads near 0 on these fits whatever V is; the spectrum tells instead
+    # MCCA is invariant to the scale of each set, so scaling one set far
+    # from 1 must leave the spectrum as it was
     base = mcca.fit(mcca.load(scaled_set(1.0)), method=method)
     model = mcca.fit(mcca.load(scaled_set(factor)), method=method)
     assert np.abs(model.lambdas - base.lambdas).max() <= BOUND
@@ -107,3 +107,16 @@ def test_stationarity_residual_tells_right_from_wrong_at_any_scale(factor, metho
     wrong = dataclasses.replace(model, V=v)
     assert mcca.stationarity_residual(cov, model, 0) <= BOUND
     assert mcca.stationarity_residual(cov, wrong, 0) > 1e-2
+
+
+def test_one_step_names_the_set_whose_subnormal_block_overflows():
+    # every set times 1e-160: each diagonal block of R is subnormal, so its
+    # inverse overflows; the refusal names the first such set, with no warning
+    rng = np.random.default_rng(5)
+    signal = rng.standard_normal((500, 1))
+    sets = [
+        (signal @ rng.standard_normal((1, 4)) + rng.standard_normal((500, 4))) * 1e-160
+        for _ in range(3)
+    ]
+    with pytest.raises(RankDeficiencyError, match="data set 1 has an inverse that overflows"):
+        mcca.fit(mcca.load(sets), method="one-step")
