@@ -10,17 +10,18 @@ block algebra exact for integer test fixtures.
 for non-finite entries in the same pass (:func:`linalg.finite`), so it
 reads each set from memory once; a set of 8 MiB or more is split among
 threads started for the call, at most one per available CPU, with the
-same bits out. ``covariance`` builds R and the means from sets held in
-memory in one pass: a Gram product of the shifted rows and a column of
-ones, which yields the column sums too.
-:class:`CovarianceAccumulator` builds them from row batches, as
-``mcca fit`` reads them, and never needs all T rows at once.
+same bits out. :class:`CovarianceAccumulator` is the one covariance
+kernel: it builds R and the means from a Gram product of the shifted rows
+and a column of ones, which yields the column sums too. It takes row
+batches, as ``mcca fit`` reads them, and never needs all T rows at once;
+``covariance`` runs it in one pass over sets held in memory, and rows
+that fit its one buffer give the same bits either way.
 ``batch_rows`` sizes the batches in which the CLI makes and projects rows.
 """
 
 import mmap
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import DataError, DimensionError
 from .linalg import as_array, as_matrix, finite, symmetrized, to_float64
 
 _CHUNK_BYTES = 8 << 20  # see `CovarianceAccumulator`
-_SHIFT_SAMPLES = 1024  # about this many evenly spaced rows give `covariance` its shift
+_SHIFT_SAMPLES = 1024  # about this many evenly spaced rows give the shift: see `_shift`
 _BATCH_BYTES = 1 << 20  # see `batch_rows`
 _BATCH_BLOCKS = 128  # of 16 rows: at most 2048 rows per batch
 
@@ -51,11 +52,6 @@ def batch_rows(width: int) -> int:
     whole one bit for bit whenever both take the same kernel.
     """
     return 16 * min(_BATCH_BLOCKS, max(1, _BATCH_BYTES // (128 * width)))
-
-
-def _chunk_rows(width: int) -> int:
-    """Rows of ``width`` float64 columns in ``_CHUNK_BYTES``, and at least one."""
-    return max(1, _CHUNK_BYTES // (8 * width))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -224,44 +220,42 @@ class CovarianceBlocks:
 
 
 class CovarianceAccumulator:
-    """Count, column sums and co-moment of multi-set rows, one batch at a time.
+    """R and the column means of multi-set rows, one batch at a time: the
+    package's one covariance kernel.
 
     What ``mcca fit`` and other batch callers use when the rows are never
-    all in memory. :meth:`add` copies each batch of rows (the sets' columns
-    side by side) into a buffer of ``_CHUNK_BYTES`` (or one row) and folds
-    the buffer in whenever it fills; :meth:`covariance` folds in the rest
-    and returns R. Memory is that buffer and a few total_dim x total_dim
-    arrays, whatever the number of rows: 8 MiB is 1024 rows at 1024
-    columns, enough for full-speed BLAS.
+    all in memory, and what :func:`covariance` runs on sets held in
+    memory. Rows (the sets' columns side by side), minus a shift c, go
+    into a buffer of ``_CHUNK_BYTES`` (or one row) whose last column takes
+    ones when it is folded in, and each fold adds the buffer's Gram product
+    into G, so G carries the shifted column sums s and the row count T in
+    its last row as well. Then the means are c + dev and R = G - T dev dev'
+    for dev = s / T (the shifted-data algorithm of Chan, Golub & LeVeque,
+    1983), which is as accurate as two passes while c lies within a
+    fraction of a standard deviation of the mean. R comes out exactly
+    symmetric, as every Gram product and move keeps G so. Memory is that
+    buffer and one (total_dim + 1)-square array, whatever the number of
+    rows: 8 MiB is 1024 rows at 1023 columns, enough for full-speed BLAS.
 
-    Folding in the buffer is the pairwise update of Chan, Golub & LeVeque
-    (1979), taken about the running mean: the buffered rows are centered in
-    place by the mean of all rows so far and their Gram product added to
-    the co-moment, and the old co-moment moves to that mean by
-    ``L e' + e L' + count e e'``, with e the change of mean and L the old
-    rows' summed deviations from the old mean. L is zero but for rounding;
-    kept, it makes the move exact, so a mean rounded at a large offset
-    costs no accuracy. The column sums go into each fold's reduction as the
-    buffer's first row, so the means come out as numpy's ``mean(axis=0)``
-    of each set, bit for bit, for sets of two or more columns; a one-column
-    set's mean is numpy's only when one fold takes every row, as numpy sums
-    a single column pairwise. With one fold, R is :func:`covariance`'s
-    exactly.
+    :meth:`add` copies the first buffer's rows as they come, and the
+    first fold shifts them in place by their own means (:func:`_shift`);
+    later rows are shifted as they are copied. A stream cannot read its
+    rows again, so the guard of :meth:`_dev` is tested after each of its
+    folds, and on a miss G moves to the shift c + dev (see :meth:`_fold`).
+    Rows that fit one buffer take the same shift and make the same fold
+    as in :func:`covariance`, and so give its R and means bit for bit.
     """
 
     def __init__(self, dims):
         self.dims = _check_dims(dims)
-        self.count = 0
-        total = sum(self.dims)
-        self.sums = np.zeros(total)
-        self.comoment = np.zeros((total, total))
-        self.deviations = np.zeros(total)
         self._slices = block_slices(self.dims)
-        # row 0 carries the column sums into each fold's reduction. Rows
-        # may never come: an anonymous map takes memory only for the rows
-        # written, where numpy would ask for huge pages for an array this
-        # large and take memory 2 MB at a time
-        shape = (1 + _chunk_rows(total), total)
+        total = sum(self.dims)
+        self._g = np.zeros((total + 1, total + 1))
+        self._shift = None  # c, taken at the first fold
+        # rows may never come: an anonymous map takes memory only for the
+        # rows written, where numpy would ask for huge pages for an array
+        # this large and take memory 2 MB at a time
+        shape = (max(1, _CHUNK_BYTES // (8 * (total + 1))), total + 1)
         self._buf = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])).reshape(shape)
         self._fill = 0
 
@@ -269,101 +263,109 @@ class CovarianceAccumulator:
         """Add a 2-D batch of finite rows, ``total_dim`` columns each (zero or
         one row is fine); otherwise DimensionError or DataError names the row batch."""
         rows = to_float64(rows, "row batch")
-        if rows.ndim != 2 or rows.shape[1] != len(self.sums):
-            raise DimensionError(f"row batch has shape {rows.shape}, not (rows, {len(self.sums)})")
+        if rows.ndim != 2 or rows.shape[1] != len(self._g) - 1:
+            raise DimensionError(f"row batch has shape {rows.shape}, not (rows, {len(self._g) - 1})")
         finite(rows, "row batch")
-        cap = len(self._buf) - 1
         while len(rows):
-            take = min(len(rows), cap - self._fill)
-            self._buf[1 + self._fill : 1 + self._fill + take] = rows[:take]
+            take = min(len(rows), len(self._buf) - self._fill)
+            shift = 0.0 if self._shift is None else self._shift
+            np.subtract(rows[:take], shift, out=self._buf[self._fill : self._fill + take, :-1])
             self._fill += take
             rows = rows[take:]
-            if self._fill == cap:
+            if self._fill == len(self._buf):
                 self._fold()
 
-    def _fold(self) -> None:
-        """Fold the buffered rows into the count, sums, co-moment and deviations."""
-        n, buf = self._fill, self._buf
-        if not n:
-            return
-        buf[0] = self.sums
-        first = 0 if self.count else 1
-        sums = np.concatenate([buf[first : 1 + n, sl].sum(axis=0) for sl in self._slices])
-        count = self.count + n
-        mean = sums / count
-        if self.count:  # move the old rows' co-moment and deviations to the new mean
-            e = self.sums / self.count - mean
-            self.comoment += np.outer(self.deviations, e)
-            self.comoment += np.outer(e, self.deviations + self.count * e)
-            self.deviations += self.count * e
-        rows = buf[1 : 1 + n]
-        rows -= mean
-        self.comoment += rows.T @ rows
-        self.deviations += rows.sum(axis=0)
-        self.count, self.sums, self._fill = count, sums, 0
+    def _fold(self, move: bool = True) -> bool:
+        """Add the Gram product of the filled rows, with ones in the last
+        column, into G; whether dev then misses the guard of :meth:`_dev`.
+        On a miss, with ``move``, G moves to the shift c + dev: with step =
+        (c + dev) - c as rounded, the shifted Gram product loses
+        step s' + s step' - T step step' and s loses T step."""
+        rows, self._fill = self._buf[: self._fill], 0
+        if self._shift is None:
+            self._shift = _shift([rows[:, sl] for sl in self._slices], len(rows))
+            rows[:, :-1] -= self._shift
+        rows[:, -1] = 1.0
+        self._g += rows.T @ rows
+        dev, miss = self._dev()
+        if move and miss:
+            t, s, shift = self._g[-1, -1], self._g[-1, :-1], self._shift + dev
+            step = shift - self._shift
+            self._g[:-1, :-1] -= np.outer(step, s) + np.outer(s, step) - t * np.outer(step, step)
+            self._g[-1, :-1] = self._g[:-1, -1] = s - t * step
+            self._shift = shift
+        return miss
+
+    def _dev(self):
+        """dev = s / T, and whether it misses the guard: 16 T dev_j^2 > R_jj
+        for some column j. Past the guard G_jj <= 17/16 R_jj, so R's
+        correction cannot cancel. A column whose 16 T dev_j^2 is below eps
+        times the largest R_ii of its own set, as a constant column's is,
+        does not trip it: all the correction can cancel there lies below
+        roundoff at that set's scale."""
+        t = self._g[-1, -1]
+        dev = self._g[-1, :-1] / t
+        diag = np.diag(self._g)[:-1] - t * dev**2
+        set_max = np.repeat([diag[sl].max() for sl in self._slices], self.dims)
+        return dev, np.any(16 * t * dev**2 > np.maximum(diag, np.finfo(np.float64).eps * set_max))
+
+    def _read(self, sets, shift) -> bool:
+        """G afresh from ``sets`` held in memory, shifted by ``shift`` one
+        buffer at a time, and never moved; whether dev misses the guard."""
+        self._g[:] = 0.0
+        self._shift, rows = shift, len(self._buf)
+        for a in range(0, len(sets[0]), rows):
+            for block, sl in zip(sets, self._slices):
+                chunk = block[a : a + rows]
+                np.subtract(chunk, shift[sl], out=self._buf[: len(chunk), sl])
+            self._fill = len(chunk)
+            miss = self._fold(move=False)
+        return miss
 
     def covariance(self) -> CovarianceBlocks:
-        """R of every row added, symmetrized so R == R.T holds exactly, and
-        the column means. DimensionError if fewer than 2 rows were added.
+        """R of every row added, with R == R.T exactly, and the column
+        means. DimensionError if fewer than 2 rows were added.
         """
-        self._fold()
-        if self.count < 2:
-            raise DimensionError(f"need at least 2 exemplars, got {self.count}")
-        mean = self.sums / self.count
-        r = 0.5 * (self.comoment + self.comoment.T)
+        if self._fill:
+            self._fold()
+        t = self._g[-1, -1]
+        if t < 2:
+            raise DimensionError(f"need at least 2 exemplars, got {int(t)}")
+        dev, _ = self._dev()
+        r = self._g[:-1, :-1] - t * np.outer(dev, dev)
+        mean = self._shift + dev
         means = tuple(_freeze(mean[sl]) for sl in self._slices)
         return CovarianceBlocks(R=_freeze(r), dims=self.dims, means=means)
+
+
+def _shift(blocks, rows: int) -> np.ndarray:
+    """The shift c: the column means of each set's rows in ``blocks``, of
+    all of them when they fit a buffer of ``rows`` rows, else of every
+    ceil(n / ``_SHIFT_SAMPLES``)-th of the n rows."""
+    n = len(blocks[0])
+    stride = 1 if n <= rows else -(-n // _SHIFT_SAMPLES)
+    return np.concatenate([b[::stride].mean(axis=0) for b in blocks])
 
 
 def covariance(data: MultiSetData) -> CovarianceBlocks:
     """Cross-covariance blocks of (internally centered) multi-set data.
 
-    One pass over the loaded sets, by the shifted-data algorithm of Chan,
-    Golub & LeVeque (1983). The shift c is the column means of every
-    ceil(T / ``_SHIFT_SAMPLES``)-th row, for centered data too, which
-    keeps its own ``means``. Each row chunk, shifted by c, is written into one
-    reused buffer of ``_CHUNK_BYTES`` whose last column holds ones, and the
-    buffer's Gram product G is added up, so G carries the shifted column
-    sums s in its last row as well. Then the means are c + s / T and
-    R = G - T dev dev' for dev = s / T, which is as accurate as two passes
-    while c lies within a fraction of a standard deviation of the mean.
-    If 16 T dev_j^2 > R_jj for any column j, the pass runs once more with
-    c + dev as the shift, and that result stands; past this guard
-    G_jj <= 17/16 R_jj, so the correction cannot cancel. A column whose
-    16 T dev_j^2 is below eps times the largest R_ii of its own set, as a
-    constant column's is, does not trip the guard: all the correction can
-    cancel there lies below roundoff at that set's scale. The data is
-    never copied or concatenated whole.
+    One pass over the loaded sets through :class:`CovarianceAccumulator`'s
+    kernel, each row chunk shifted straight into one reused buffer. The
+    shift c is :func:`_shift`'s: the exact column means when the T rows fit
+    one buffer, else those of about ``_SHIFT_SAMPLES`` evenly spaced rows,
+    for centered data too, which keeps its own ``means``. If the guard
+    misses, the pass runs once more with c + dev as the shift, and that
+    result stands. The data is never copied or concatenated whole.
     """
-    t, total = data.n_exemplars, data.total_dim
-    stride = -(-t // _SHIFT_SAMPLES)
-    shift = np.concatenate([b[::stride].mean(axis=0) for b in data.sets])
+    acc = CovarianceAccumulator(data.dims)
+    rows = len(acc._buf)
     # reuses resident heap pages, unlike a map
-    buf = np.empty((min(_chunk_rows(total + 1), t), total + 1))
-    buf[:, -1] = 1.0
-    r, dev = _shifted_gram(data, shift, buf)
-    diag = np.diag(r)
-    set_max = np.repeat([diag[sl].max() for sl in block_slices(data.dims)], data.dims)
-    if np.any(16 * t * dev**2 > np.maximum(diag, np.finfo(np.float64).eps * set_max)):
-        shift = shift + dev
-        r, dev = _shifted_gram(data, shift, buf)
-    mean = shift + dev
-    means = data.means if data.centered else tuple(_freeze(mean[sl]) for sl in block_slices(data.dims))
-    return CovarianceBlocks(R=_freeze(r), dims=data.dims, means=means)
-
-
-def _shifted_gram(data: MultiSetData, shift: np.ndarray, buf: np.ndarray):
-    """R of ``data`` and the deviation of its column means from ``shift``,
-    from one pass of row chunks shifted into ``buf``, whose last column is ones."""
-    t, rows = data.n_exemplars, len(buf)
-    g = np.zeros((buf.shape[1], buf.shape[1]))
-    for a in range(0, t, rows):
-        chunk = buf[: min(rows, t - a)]
-        for block, sl in zip(data.sets, block_slices(data.dims)):
-            np.subtract(block[a : a + rows], shift[sl], out=chunk[:, sl])
-        g += chunk.T @ chunk
-    dev = g[-1, :-1] / t
-    return g[:-1, :-1] - t * np.outer(dev, dev), dev
+    acc._buf = np.empty((min(rows, data.n_exemplars), data.total_dim + 1))
+    if acc._read(data.sets, _shift(data.sets, rows)):
+        acc._read(data.sets, acc._shift + acc._dev()[0])
+    cov = acc.covariance()
+    return replace(cov, means=data.means) if data.centered else cov
 
 
 def covariance_from_matrix(r, dims, means=None) -> CovarianceBlocks:

@@ -30,13 +30,14 @@ def dense_d(cov):
 def covariance_two_pass(data, chunk_bytes=8 << 20):
     """R and the means of ``data`` by the plain two-pass method.
 
-    The baseline whose rounding ``covariance``'s single pass must match
-    (see :func:`covariance_exact`), and the oracle that
-    ``CovarianceAccumulator`` must match within rounding. The column means
-    come first, as numpy's ``mean(axis=0)`` (centered data keeps its
-    ``means`` and is not shifted), then each row chunk of at most
-    ``chunk_bytes`` is centered into a reused buffer and its Gram product
-    added into R.
+    The baseline whose rounding the package's one covariance kernel,
+    ``CovarianceAccumulator``, must match (see :func:`covariance_exact`),
+    in memory and over row batches alike. It is not that kernel's
+    algorithm: no shift, no column of ones, and R symmetrized at the end.
+    The column means come first, as numpy's ``mean(axis=0)`` (centered
+    data keeps its ``means`` and is not shifted), then each row chunk of at
+    most ``chunk_bytes`` is centered into a reused buffer and its Gram
+    product added into R.
     """
     means = data.means if data.centered else [b.mean(axis=0) for b in data.sets]
     shifts = [0.0] * data.n_sets if data.centered else means

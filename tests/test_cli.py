@@ -446,12 +446,12 @@ SYNTH_SHA256 = {
     "data": "2e9e882f3913bf35bdad68a67273fc8bd1054319c5a2df698b4c5e6a97a3e71a",
     "latents": "c813ce31a828453967879ab2fceaf1c4f02d17b8d72dfaebe7e704ce7ccefa35",
 }
-README_PROJ_SHA256 = "8dc4c036ebbb92a34e5a8d2c37156d176fdb50c921e8388df3fa2920ea55b755"
+README_PROJ_SHA256 = "5781a18295cf3c8c1367400e543bd2950ab7af1e48afdbb979c340aa790e44c2"
 # the model files fitted on the README's demo.csv, by their fit options
 README_MODEL_SHA256 = {
-    "--k 3": "e666e1a306dcb3b9968a2d188102c0e162b4be8a1805ca8c646570401dfc53ed",
-    "--method one-step --k 3": "5d268d86e52a5e8a9a40cc82160b4d3dad6ce970bf55ed3b3c8bfc966cfb6296",
-    "--method one-step --gamma 3": "5a85a4208aad7ac43d2aac3b67b6895a07a10eb655c8c45455fcadbffb1641e2",
+    "--k 3": "48eea29b8822b75bd4b29a95db174c75c670ddede3233292074c299f5a7f8165",
+    "--method one-step --k 3": "1dbe65c035186f43e95bee9922be68d17f4e0ea8dc0bfb8d4afcaf2ea3429cff",
+    "--method one-step --gamma 3": "30310f5736f4111ed255aaa47574cfaa1baeda1f24c0467c67f662abf72a8867",
 }
 
 
@@ -494,6 +494,36 @@ class TestOutputBytes:
             assert code == 0, err
             digests[options] = sha256(model)
         assert digests == README_MODEL_SHA256
+
+    @pytest.mark.parametrize(
+        "synth, options, kwargs",
+        [
+            ("--n 3 --dims 4,4,4 --t 2000 --k 2", "--k 3", {"k": 3}),
+            ("--n 3 --dims 4,4,4 --t 2000 --k 2", "--method one-step --k 3",
+             {"method": "one-step", "k": 3}),
+            ("--n 3 --dims 4,4,4 --t 2000 --k 2", "--method one-step --gamma 3",
+             {"method": "one-step", "gamma": 3.0}),
+            ("--dims 16,16,16,16 --t 6000 --k 2", "", {}),
+            ("--dims 1,3,2 --t 500 --k 1", "", {}),
+            ("--dims 1,1 --t 500 --k 1", "", {}),
+            ("--dims 2,1,1 --t 500 --k 1", "--method one-step", {"method": "one-step"}),
+        ],
+        ids=["readme", "readme-one-step", "readme-gamma", "4x16", "1,3,2", "1,1", "2,1,1"],
+    )
+    def test_fit_writes_the_library_model(self, tmp_path, capsys, synth, options, kwargs):
+        # rows that fit the covariance kernel's one buffer give the bits of
+        # the in-memory covariance, so the streamed fit writes its model
+        data, model, ref = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "ref.json"
+        assert main(["synth", "--seed", "7", *synth.split(), "--snr", "10",
+                     "--output", str(data)]) == 0
+        dims = synth.split()[synth.split().index("--dims") + 1]
+        assert main(["fit", "--input", str(data), "--dims", dims, *options.split(),
+                     "--output", str(model)]) == 0
+        x = read_data_csv(data)
+        sets = [x[:, sl] for sl in mcca.data.block_slices(map(int, dims.split(",")))]
+        mcca.save_model(mcca.fit(mcca.load(sets), **kwargs), ref)
+        assert model.read_bytes() == ref.read_bytes()
+        capsys.readouterr()
 
     def test_readme_models_load(self, tmp_path):
         data, model = tmp_path / "demo.csv", tmp_path / "model.json"

@@ -196,11 +196,12 @@ class TestSinglePass:
         rows[-1, -1] = np.nan
         with pytest.raises(DataError, match="row batch contains non-finite entries"):
             acc.add(rows)
-        assert (acc.count, acc._fill) == (0, 0)
+        # G's corner counts the rows folded in
+        assert (acc._g[-1, -1], acc._fill) == (0, 0)
         acc.add(np.ones((0, 3)))
-        assert (acc.count, acc._fill) == (0, 0)
+        assert (acc._g[-1, -1], acc._fill) == (0, 0)
         acc.add(np.ones((1, 3)))
-        assert (acc.count, acc._fill) == (0, 1)
+        assert (acc._g[-1, -1], acc._fill) == (0, 1)
 
 
 class TestSplit:
@@ -447,6 +448,42 @@ class TestChunkedCovariance:
         assert peak < data_bytes
 
 
+def _spikes_on_the_sample_stride(rng, t):
+    """Sets whose rows on the stride k of ``covariance``'s shift sample lie
+    1e3 above the others, so a sampled mean misses the mean by sqrt(k - 1)
+    standard deviations (8 at T = 65536) and the guard must run a second pass."""
+    sets = [rng.standard_normal((t, 3)), rng.standard_normal((t, 2))]
+    sets[0][:: -(-t // mcca.data._SHIFT_SAMPLES)] += 1e3
+    return sets
+
+
+def _with_column(rng, t, column):
+    sets = [rng.standard_normal((t, 3)), rng.standard_normal((t, 2))]
+    sets[0][:, 1] = column(t)
+    return sets
+
+
+# family -> (sets of T rows, passes `covariance` takes when the T rows
+# overflow one buffer, so that its shift is sampled)
+HOSTILE = {
+    "offset+1e8": (lambda rng, t: [1e8 + rng.standard_normal((t, d)) for d in (3, 2)], 1),
+    "offset-1e8": (lambda rng, t: [-1e8 + rng.standard_normal((t, d)) for d in (3, 2)], 1),
+    "step": (lambda rng, t: _with_column(rng, t, lambda t: np.repeat([0.0, 1e4], [t // 2, t - t // 2])), 1),
+    "random-walk": (lambda rng, t: _with_column(rng, t, lambda t: rng.standard_normal(t).cumsum()), 1),
+    "spikes": (_spikes_on_the_sample_stride, 2),
+    "constant": (lambda rng, t: _with_column(rng, t, lambda t: np.full(t, 0.1)), 1),
+}
+
+
+def _late_offset(rng, t):
+    """Unit noise whose rows after the first T/40 lie 1e6 higher: a stream's
+    first buffer then takes a shift far from the mean of what follows."""
+    sets = [rng.standard_normal((t, d)) for d in (3, 2)]
+    for s in sets:
+        s[t // 40 :] += 1e6
+    return sets
+
+
 class TestCovarianceAccumulator:
     """Row batches fed to the accumulator against the two-pass oracle."""
 
@@ -472,24 +509,19 @@ class TestCovarianceAccumulator:
                 a += batch_rows[i % len(batch_rows)]
                 i += 1
             cov = acc.covariance()
+            one_buffer = t <= len(acc._buf)
         ref, means = covariance_two_pass(load(sets))
-        one_chunk = t <= chunk_rows
-        if one_chunk:
-            assert np.array_equal(cov.R, ref)
-        else:
-            assert np.abs(cov.R - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(cov.R - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(cov.R, cov.R.T)
         assert cov.dims == tuple(dims)
         for block, got, want in zip(sets, cov.means, means):
-            if block.shape[1] > 1 or one_chunk:
-                # numpy sums the rows of a block in order, as the
-                # accumulator does with its sums carried into each chunk
-                assert np.array_equal(got, want)
-            else:
-                # numpy sums one column pairwise, which no chunked order
-                # reproduces; the two orders differ by rounding only
-                bound = 2 * t * np.finfo(float).eps * np.abs(block).mean()
-                assert np.abs(got - want).max() <= bound
+            # the shifted sums and numpy's mean differ by rounding only
+            bound = 2 * t * np.finfo(float).eps * np.abs(block).mean()
+            assert np.abs(got - want).max() <= bound
+        if one_buffer:  # the in-memory path folds the same rows, shifted the same way
+            mem = covariance(load(sets))
+            assert np.array_equal(cov.R, mem.R)
+            assert all(map(np.array_equal, cov.means, mem.means))
 
     @pytest.mark.parametrize("dims", [(2,), (2, -1), 3])
     def test_dims_rule(self, dims):
@@ -521,6 +553,25 @@ class TestCovarianceAccumulator:
             acc.add(rows)
         assert np.array_equal(acc.covariance().R, ref.covariance().R)
 
+    @pytest.mark.parametrize("buffers", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("t", [2048, 65536])
+    @pytest.mark.parametrize("family", [*HOSTILE, "late-offset"])
+    def test_stream_is_as_accurate_as_two_pass(self, monkeypatch, family, t, buffers):
+        make = _late_offset if family == "late-offset" else HOSTILE[family][0]
+        data = load(make(np.random.default_rng(15), t))
+        rows = -(-t // buffers)
+        monkeypatch.setattr(mcca.data, "_CHUNK_BYTES", rows * 8 * (data.total_dim + 1))
+        acc = CovarianceAccumulator(data.dims)
+        x = np.hstack(data.sets)
+        for a in range(0, t, 64):
+            acc.add(x[a : a + 64])
+        cov = acc.covariance()
+        got = covariance_errors(cov.R, cov.means, data)
+        want = covariance_errors(*covariance_two_pass(data), data)
+        assert got[0] <= max(2 * want[0], 128 * U)
+        assert got[1] <= max(2 * want[1], 128 * U)
+        assert np.array_equal(cov.R, cov.R.T)
+
     def test_covariance_is_as_accurate_as_two_pass(self):
         # in memory, the whole data is one batch, whatever the chunk size
         rng = np.random.default_rng(11)
@@ -535,32 +586,6 @@ class TestCovarianceAccumulator:
             assert got <= max(2 * want, 8 * U)
 
 
-def _spikes_on_the_sample_stride(rng, t):
-    """Sets whose rows on the stride k of ``covariance``'s shift sample lie
-    1e3 above the others, so the sampled mean misses the mean by sqrt(k - 1)
-    standard deviations (8 at T = 65536) and the guard must run a second pass."""
-    sets = [rng.standard_normal((t, 3)), rng.standard_normal((t, 2))]
-    sets[0][:: -(-t // mcca.data._SHIFT_SAMPLES)] += 1e3
-    return sets
-
-
-def _with_column(rng, t, column):
-    sets = [rng.standard_normal((t, 3)), rng.standard_normal((t, 2))]
-    sets[0][:, 1] = column(t)
-    return sets
-
-
-# family -> (sets of T rows, passes `covariance` takes)
-HOSTILE = {
-    "offset+1e8": (lambda rng, t: [1e8 + rng.standard_normal((t, d)) for d in (3, 2)], 1),
-    "offset-1e8": (lambda rng, t: [-1e8 + rng.standard_normal((t, d)) for d in (3, 2)], 1),
-    "step": (lambda rng, t: _with_column(rng, t, lambda t: np.repeat([0.0, 1e4], [t // 2, t - t // 2])), 1),
-    "random-walk": (lambda rng, t: _with_column(rng, t, lambda t: rng.standard_normal(t).cumsum()), 1),
-    "spikes": (_spikes_on_the_sample_stride, 2),
-    "constant": (lambda rng, t: _with_column(rng, t, lambda t: np.full(t, 0.1)), 1),
-}
-
-
 class TestSinglePassCovariance:
     """``covariance`` in one pass, against the extended-precision two-pass
     reference: at most twice the plain two-pass method's error, or 8 u."""
@@ -568,8 +593,8 @@ class TestSinglePassCovariance:
     @staticmethod
     def passes(monkeypatch):
         calls = []
-        gram = mcca.data._shifted_gram
-        monkeypatch.setattr(mcca.data, "_shifted_gram", lambda *a: calls.append(1) or gram(*a))
+        read = CovarianceAccumulator._read
+        monkeypatch.setattr(CovarianceAccumulator, "_read", lambda *a: calls.append(1) or read(*a))
         return calls
 
     def assert_as_accurate_as_two_pass(self, data, cov):
@@ -581,12 +606,13 @@ class TestSinglePassCovariance:
 
     @pytest.mark.parametrize("family", list(HOSTILE))
     def test_hostile_family(self, monkeypatch, family):
-        make, passes = HOSTILE[family]
+        make, _ = HOSTILE[family]
         data = load(make(np.random.default_rng(12), 65536))
         calls = self.passes(monkeypatch)
         cov = covariance(data)
         self.assert_as_accurate_as_two_pass(data, cov)
-        assert len(calls) == passes
+        # 65536 rows of 5 columns fit one buffer: the shift is the exact mean
+        assert len(calls) == 1
 
     def test_centered_data_keeps_its_means(self, monkeypatch):
         data = center(load(HOSTILE["offset+1e8"][0](np.random.default_rng(13), 3000)))
@@ -615,7 +641,7 @@ class TestSinglePassCovariance:
         calls = self.passes(monkeypatch)
         cov = covariance(data)
         self.assert_as_accurate_as_two_pass(data, cov)
-        assert len(calls) == passes
+        assert len(calls) == (passes if rows < data.n_exemplars else 1)
 
 
 class TestCovarianceFromMatrix:
