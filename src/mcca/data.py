@@ -15,13 +15,15 @@ kernel: it builds R and the means from a Gram product of the shifted rows
 and a column of ones, which yields the column sums too. It takes row
 batches, as ``mcca fit`` reads them, and never needs all T rows at once;
 ``covariance`` runs it in one pass over sets held in memory, and rows
-that fit its one buffer give the same bits either way.
+that fit its one buffer give the same bits either way. It makes R once
+per ``load`` output with total_dim <= T, whose frozen sets cannot
+change, and returns that same object to every later call.
 ``batch_rows`` sizes the batches in which the CLI makes and projects rows.
 """
 
 import mmap
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -105,6 +107,8 @@ class MultiSetData:
 
     sets: tuple
     means: tuple | None
+    # set by `load` alone: where `covariance` keeps the one R of its sets
+    _memo: list | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def centered(self) -> bool:
@@ -141,6 +145,9 @@ def load(sets) -> MultiSetData:
     A large set is split among the available CPUs, on threads started and
     joined within the call; the loaded bits do not depend on how many.
     The shape of a set is checked before its entries.
+
+    No writable view of the returned sets is left outside, so when
+    total_dim <= T :func:`covariance` makes their R once (see there).
     """
     blocks = list(sets)
     if len(blocks) < 2:
@@ -156,7 +163,10 @@ def load(sets) -> MultiSetData:
         out.append(_freeze(arr))
     if out[0].shape[0] < 2:
         raise DimensionError(f"need at least 2 exemplars, got {out[0].shape[0]}")
-    return MultiSetData(sets=tuple(out), means=None)
+    data = MultiSetData(sets=tuple(out), means=None)
+    if data.total_dim <= data.n_exemplars:  # R is then no larger than the sets
+        object.__setattr__(data, "_memo", [])
+    return data
 
 
 def center(data: MultiSetData) -> MultiSetData:
@@ -357,14 +367,27 @@ def covariance(data: MultiSetData) -> CovarianceBlocks:
     for centered data too, which keeps its own ``means``. If the guard
     misses, the pass runs once more with c + dev as the shift, and that
     result stands. The data is never copied or concatenated whole.
+
+    A :func:`load` output with total_dim <= T keeps the first call's
+    result (total_dim^2 floats, no more than the sets) and gets it back
+    from every later call while its sets stay read-only. Other data takes
+    the pass on every call.
     """
+    # a copy or an unpickled load output has writable sets: its R may change
+    memo = None if any(b.flags.writeable for b in data.sets) else data._memo
+    if memo:
+        return memo[0]
     acc = CovarianceAccumulator(data.dims)
     rows = len(acc._buf)
     # reuses resident heap pages, unlike a map
     acc._buf = np.empty((min(rows, data.n_exemplars), data.total_dim + 1))
     if acc._read(data.sets, _shift(data.sets, rows)):
         acc._read(data.sets, acc._shift + acc._dev()[0])
+    # freed first, so that a kept R is not made above it and pins it in the heap
+    acc._buf = None
     cov = acc.covariance()
+    if memo is not None:
+        memo.append(cov)
     return replace(cov, means=data.means) if data.centered else cov
 
 

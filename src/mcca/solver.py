@@ -207,7 +207,9 @@ def fit_two_step(
     for l in range(cov.n_sets):
         v[slices[l], :] = wb.maps[l] @ vectors[wslices[l], :]
     reg = RegularizationRecord(gamma=float(gamma), rank_tol=float(rank_tol), ranks=wb.ranks)
-    return _finish(cov, values, v, k, TWO_STEP, reg)
+    # the largest condition number of the kept part of a shifted diagonal block
+    kappa = max(float(w[0] / w[r - 1]) for w, r in zip(wb.eigvals, wb.ranks))
+    return _finish(cov, values, v, k, TWO_STEP, reg, kappa)
 
 
 def fit_one_step(
@@ -258,8 +260,9 @@ def fit(
 ) -> MccaModel:
     """Fit with ``method``: the one route dispatch.
 
-    ``data`` is multi-set data, which is centered and reduced to its
-    covariance blocks, or covariance blocks built already (as ``mcca fit``
+    ``data`` is multi-set data, reduced to its covariance blocks by
+    :func:`covariance` (shifted, not centered; built once per ``load``
+    output), or covariance blocks built already (as ``mcca fit``
     accumulates them from its input). The options are checked, on either
     route, before the covariance is built, by :func:`_check_options`.
     """
@@ -311,7 +314,7 @@ def _finish(
     k: int | None,
     method: str,
     reg: RegularizationRecord,
-    kappa: float = 1.0,
+    kappa: float,
 ) -> MccaModel:
     """Normalize, fix degenerate clusters, truncate to k, and wrap up.
 
@@ -325,8 +328,8 @@ def _finish(
     variance is at roundoff (see :func:`metrics._isc_columns`).
 
     ``kappa``, the largest condition number of the diagonal blocks the
-    route inverts (1 for the two-step route), widens the tie tolerance of
-    :func:`_orthonormalize_ties`.
+    route inverts (of their kept part, on the two-step route), widens the
+    tie tolerance of :func:`_orthonormalize_ties`.
     """
     if values[-1] < -SPECTRUM_ATOL or values[0] > cov.n_sets + SPECTRUM_ATOL:
         raise DataError(
@@ -375,8 +378,8 @@ def _orthonormalize_ties(
 
     Values closer than max(``TIE_RTOL``, u kappa N) times the largest
     |value| form a cluster, where kappa is the largest condition number
-    of the diagonal blocks the route inverted (1 for the two-step route's
-    whitened blocks): a general eigensolver's values carry errors of
+    of the diagonal blocks the route inverted (of the kept part of each,
+    for the two-step route's whitening): the values carry errors of
     about u kappa N.
     """
     rtol = max(TIE_RTOL, 0.5 * np.finfo(np.float64).eps * kappa * cov.n_sets)

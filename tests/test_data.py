@@ -1,7 +1,10 @@
+import copy
 import os
+import pickle
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -642,6 +645,56 @@ class TestSinglePassCovariance:
         cov = covariance(data)
         self.assert_as_accurate_as_two_pass(data, cov)
         assert len(calls) == (passes if rows < data.n_exemplars else 1)
+
+
+class TestCovarianceOfLoadedData:
+    """R is computed once per `load` output whose total_dim is at most T;
+    other data takes a pass on every call."""
+
+    @staticmethod
+    def sets(t):
+        rng = np.random.default_rng(16)
+        return [5.0 + rng.standard_normal((t, d)) for d in (3, 2, 4)]
+
+    @pytest.mark.parametrize("t", [9, 40])
+    def test_fits_and_residual_share_one_pass(self, monkeypatch, t):
+        data = load(self.sets(t))
+        calls = TestSinglePassCovariance.passes(monkeypatch)
+        two = mcca.fit(data, k=2)
+        mcca.fit(data, method="one-step", gamma=0.5)
+        cov = covariance(data)
+        assert cov is covariance(data)
+        assert mcca.stationarity_residual(covariance(data), two, 0) < 1e-12
+        assert len(calls) == 1
+        # the memo shows in no public field, in repr or in equality
+        plain = mcca.MultiSetData(sets=data.sets, means=None)
+        assert repr(data) == repr(plain) and data == plain
+
+    @pytest.mark.parametrize(
+        "t, make",
+        [
+            (40, lambda sets: mcca.MultiSetData(sets=tuple(sets), means=None)),
+            (40, lambda sets: replace(load(sets))),
+            (40, lambda sets: center(load(sets))),
+            (8, load),  # total_dim 9 > T: R would outweigh the sets
+        ],
+        ids=["built", "replaced", "centered", "wider-than-tall"],
+    )
+    def test_other_data_takes_a_pass_per_call(self, monkeypatch, t, make):
+        data = make(self.sets(t))
+        calls = TestSinglePassCovariance.passes(monkeypatch)
+        first, second = covariance(data), covariance(data)
+        assert first is not second and np.array_equal(first.R, second.R)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("thaw", [copy.deepcopy, lambda data: pickle.loads(pickle.dumps(data))])
+    def test_copy_with_writable_sets_takes_a_pass(self, thaw):
+        data = load(self.sets(40))
+        cov = covariance(data)
+        copied = thaw(data)
+        copied.sets[0][:, 0] *= 2.0
+        assert not np.array_equal(covariance(copied).R, cov.R)
+        assert covariance(data) is cov
 
 
 class TestCovarianceFromMatrix:

@@ -148,6 +148,24 @@ class TestFitTwoStep:
         with pytest.raises(ValueError):
             model.lambdas[0] = 9.0
 
+    def test_ties_within_the_kept_blocks_accuracy_are_joined(self, monkeypatch):
+        # noiseless: three values at 3, three at 1 spread over 1.6e-7 and six
+        # near 0; the kept part of a shifted block has condition number 5.5e8
+        spec = mcca.SynthSpec(seed=5, dims=(5, 4, 3), n_exemplars=300, n_components=3, snr=np.inf)
+        cov = covariance(mcca.generate(spec).data)
+        clusters, eigh, ties = [], np.linalg.eigh, mcca.solver._orthonormalize_ties
+
+        def spy(*args):  # the size of each cluster Gram handed to eigh
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np.linalg, "eigh", lambda gram: clusters.append(len(gram)) or eigh(gram))
+                ties(*args)
+
+        monkeypatch.setattr(mcca.solver, "_orthonormalize_ties", spy)
+        model = fit_two_step(cov, gamma=1e-6)
+        assert 1e-7 < np.ptp(model.lambdas[3:6]) and np.abs(model.lambdas[3:6] - 1.0).max() < 1e-6
+        assert clusters == [3, 3, 6]
+        assert d_orthonormality_error(cov, model) <= 1e-7
+
 
 class TestFitOneStep:
     def test_perfectly_correlated_pair(self):
@@ -599,6 +617,16 @@ class TestFitFrontend:
         from_cov = mcca.fit(mcca.covariance(data), method=method, k=2)
         assert np.array_equal(from_cov.V, from_data.V)
         assert all(np.array_equal(a, b) for a, b in zip(from_cov.means, from_data.means))
+
+    def test_routes_on_one_load_write_the_bytes_of_each_alone(self, tmp_path):
+        sets = random_instance(np.random.default_rng(29), (3, 2, 4), 40).sets
+        data = load(sets)
+        shared = [mcca.fit(data, method=method) for method in ("two-step", "one-step")]
+        for model in shared:
+            alone = mcca.fit(load(sets), method=model.method)
+            mcca.save_model(model, tmp_path / "shared.json")
+            mcca.save_model(alone, tmp_path / "alone.json")
+            assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
 
     @pytest.mark.parametrize(
         "opt, value",
