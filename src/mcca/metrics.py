@@ -5,9 +5,11 @@ the sum of between-set covariances of the component signals over all
 ordered pairs of distinct sets, divided by (N - 1) times the summed
 within-set variances. The 1/(N - 1) factor normalizes the maximum to 1.
 
-Everything here works directly on signals or on covariance blocks, with no
-reference to the eigensolver, so the solver's analytic correlations can be
-cross-validated against these independent computations.
+One kernel scores every ISC here: :func:`_isc_columns`, on a covariance.
+:func:`isc` takes the covariance of the signals themselves with the
+package's one covariance kernel (:func:`data.covariance`) and scores it
+there. Nothing here refers to the eigensolver, so the solver's analytic
+correlations can be cross-validated against these computations.
 """
 
 from dataclasses import dataclass
@@ -15,16 +17,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import MultiSetData, _is_int, block_slices
+from .data import MultiSetData, _is_int, block_slices, covariance
 from .errors import DimensionError, UndefinedIscError
 from .linalg import as_array, to_float64
 
 if TYPE_CHECKING:
     from .solver import MccaModel
-
-# Signals whose variation falls below this fraction of their magnitude are
-# treated as constant; correlation is meaningless below roundoff.
-VARIANCE_FLOOR_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,23 +96,28 @@ def isc(proj: Projections, n: int) -> IscBreakdown:
     Signals are re-centered by their own sample means, making the metric
     self-contained on held-out data. The between-set sum runs over ordered
     pairs (l, k), l != k, so each unordered pair contributes twice.
+
+    The T x N block of the N sets' signals is scaled by one common 2^-k
+    that brings its largest |entry| into [1, 2). The scaling is exact and a
+    common factor leaves rho unchanged, so no signal scale can overflow or
+    underflow the sums. :func:`covariance` of the scaled block is then
+    scored by :func:`_isc_columns` with every weight 2^k, which gives the
+    sums of the signals themselves: ±inf or 0 where they fall outside the
+    float range, while rho stays finite. UndefinedIscError when the
+    within-set variance lies at that kernel's roundoff floor.
     """
     _check_component(n, proj.n_components)
     y = np.column_stack([s[:, n] for s in proj.signals])
     y = as_array(y, f"signal block of component {n}", 2)
-    n_sets = y.shape[1]
-    scale = max(float(y.max()), -float(y.min()))
-    y -= y.mean(axis=0)  # y is column_stack's own copy
-    gram = y.T @ y
-    r_within = float(np.trace(gram))
-    r_between = float(gram.sum()) - r_within
-    floor = (VARIANCE_FLOOR_REL * scale) ** 2 * y.size
-    if r_within <= floor:
+    k = np.frexp(np.abs(y).max())[1] - 1  # not frexp's own exponent: 2^1024 is no float
+    y = np.ldexp(y, -k)
+    cov = covariance(MultiSetData(tuple(y[:, l : l + 1] for l in range(y.shape[1])), None))
+    parts = _isc_columns(cov, np.full((y.shape[1], 1), np.ldexp(1.0, k)))
+    if np.isnan(parts.rho[0]):
         raise UndefinedIscError(
             "within-set variance is zero (all sets constant); ISC undefined"
         )
-    rho = r_between / ((n_sets - 1) * r_within)
-    return IscBreakdown(r_between=r_between, r_within=r_within, rho=rho)
+    return IscBreakdown(float(parts.r_between[0]), float(parts.r_within[0]), float(parts.rho[0]))
 
 
 def _isc_columns(cov, v: np.ndarray) -> IscBreakdown:

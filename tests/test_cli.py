@@ -325,6 +325,29 @@ class TestIsc:
         assert code == 3
         assert "variance" in err
 
+    @pytest.mark.parametrize("s", [1e155, 1e-155, 1e200, 1e-200, 1e300, 1e-300, 2.0**1000, 2.0**-1000])
+    def test_scaled_signals_exit_0(self, tmp_path, s):
+        rng = np.random.default_rng(5)
+        cols = rng.standard_normal((500, 3))
+        cols[:, 1] += 0.7 * cols[:, 0]
+        data = tmp_path / "p.csv"
+        write_data_csv(data, s * cols)
+        code, out, err = run_cli(
+            "isc", "--input", data, "--dims", "1,1,1",
+            env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"},
+        )
+        assert (code, err) == (0, "")
+        want = mcca.isc(mcca.Projections(tuple(cols[:, l : l + 1] for l in range(3))), 0).rho
+        assert abs(parse_isc(out)["rho"] - want) <= 1e-14
+
+    def test_one_exemplar_exit_2_as_fit(self, tmp_path):
+        data = tmp_path / "p.csv"
+        write_data_csv(data, np.array([[1.0, 2.0]]))
+        for args in (("isc",), ("fit", "--output", tmp_path / "m.json")):
+            code, _, err = run_cli(*args, "--input", data, "--dims", "1,1")
+            assert code == 2
+            assert "need at least 2 exemplars, got 1" in err
+
     def test_k_out_of_range_exit_2(self, tmp_path):
         data = tmp_path / "p.csv"
         write_data_csv(data, np.random.default_rng(4).standard_normal((5, 2)))

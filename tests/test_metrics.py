@@ -204,6 +204,41 @@ class TestIsc:
         scaled = isc(Projections(tuple(factor * y for y in cols)), 0)
         assert abs(base.rho - scaled.rho) <= 1e-9
 
+    @staticmethod
+    def _correlated_columns():
+        rng = np.random.default_rng(5)
+        cols = [rng.standard_normal((500, 1)) for _ in range(3)]
+        cols[1] += 0.7 * cols[0]
+        return cols
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_exact_under_power_of_two_scaling(self, k):
+        cols = self._correlated_columns()
+        base = isc(Projections(tuple(cols)), 0)
+        scaled = isc(Projections(tuple(np.ldexp(c, k) for c in cols)), 0)
+        assert scaled.rho == base.rho
+        for got, unscaled in ((scaled.r_within, base.r_within), (scaled.r_between, base.r_between)):
+            with np.errstate(over="ignore"):
+                want = np.ldexp(unscaled, 2 * k)
+            assert got == want  # np.ldexp reads ±inf past the float range
+        assert np.isinf(scaled.r_within) == (k == 1000)
+
+    @pytest.mark.parametrize("s", [1e155, 1e-155, 1e200, 1e-200, 1e300, 1e-300])
+    def test_decimal_scales_keep_rho(self, s):
+        cols = self._correlated_columns()
+        base = isc(Projections(tuple(cols)), 0)
+        scaled = isc(Projections(tuple(s * c for c in cols)), 0)
+        assert abs(scaled.rho - base.rho) <= 1e-14
+        for got, unscaled in ((scaled.r_within, base.r_within), (scaled.r_between, base.r_between)):
+            with np.errstate(over="ignore"):
+                want = unscaled * s * s  # ±inf or 0 past the float range
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_one_exemplar_rejected(self):
+        y = np.ones((1, 1))
+        with pytest.raises(DimensionError, match="need at least 2 exemplars, got 1"):
+            isc(Projections((y, y.copy())), 0)
+
     def test_single_set_scaling_recomputed(self):
         rng = np.random.default_rng(6)
         cols = [rng.standard_normal(10) for _ in range(3)]
